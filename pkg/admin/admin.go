@@ -7,16 +7,19 @@
 package admin
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
+	"sync"
 	"time"
 
 	"github.com/pml-mpi/pmlmpi/pkg/buildinfo"
 	"github.com/pml-mpi/pmlmpi/pkg/feedback"
+	"github.com/pml-mpi/pmlmpi/pkg/jsonappend"
 	"github.com/pml-mpi/pmlmpi/pkg/modelhealth"
 	"github.com/pml-mpi/pmlmpi/pkg/obs"
 	"github.com/pml-mpi/pmlmpi/pkg/registry"
@@ -191,7 +194,14 @@ func (sr *statusRecorder) WriteHeader(code int) {
 	sr.ResponseWriter.WriteHeader(code)
 }
 
+// instrument wraps a route with request-ID propagation, the request
+// counter and duration histogram, and a debug-level access log. The series a
+// healthy route hits on every request — {path, code="200"} and the path's
+// duration histogram — are bound here, once, at registration; other status
+// codes take the label-joined lookup.
 func (s *Server) instrument(path string, h http.HandlerFunc) http.HandlerFunc {
+	ok200 := s.httpRequests.Bind(path, "200")
+	latency := s.httpLatency.Bind(path)
 	return func(w http.ResponseWriter, r *http.Request) {
 		ctx, reqID := obs.WithRequestID(r.Context(), r.Header.Get("X-Request-Id"))
 		w.Header().Set("X-Request-Id", reqID)
@@ -199,13 +209,19 @@ func (s *Server) instrument(path string, h http.HandlerFunc) http.HandlerFunc {
 		start := time.Now()
 		h(sr, r.WithContext(ctx))
 		elapsed := time.Since(start)
-		s.httpRequests.Inc(path, strconv.Itoa(sr.code))
-		s.httpLatency.Observe(elapsed.Seconds(), path)
-		s.o.Logger.WithCtx(ctx).Debug("http request",
-			"method", r.Method,
-			"path", path,
-			"code", sr.code,
-			"duration_us", float64(elapsed.Microseconds()))
+		if sr.code == http.StatusOK {
+			ok200.Inc()
+		} else {
+			s.httpRequests.Inc(path, strconv.Itoa(sr.code))
+		}
+		latency.Observe(elapsed.Seconds())
+		if s.o.Logger.Enabled(obs.LevelDebug) {
+			s.o.Logger.WithCtx(ctx).Debug("http request",
+				"method", r.Method,
+				"path", path,
+				"code", sr.code,
+				"duration_us", float64(elapsed.Microseconds()))
+		}
 	}
 }
 
@@ -403,15 +419,15 @@ func (s *Server) handleAnalytics(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// selectRequest is the /v1/select request body.
-type selectRequest struct {
-	Collective string             `json:"collective"`
-	Features   map[string]float64 `json:"features"`
-}
-
 func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
-	var req selectRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
+	buf := getWireBuf()
+	defer putWireBuf(buf)
+	if err := buf.readBody(w, r, 1<<20); err != nil {
+		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		return
+	}
+	req, err := selector.DecodeSelect(buf.body.Bytes())
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
@@ -419,64 +435,124 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "missing \"collective\"")
 		return
 	}
-	d, err := s.sel.Select(r.Context(), req.Collective, req.Features)
+	// The map was decoded for this call alone, so the decision may keep it.
+	d, err := s.sel.SelectOwned(r.Context(), req.Collective, req.Features)
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, d)
+	if buf.out, err = selector.AppendDecision(buf.out[:0], d); err != nil {
+		writeError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	buf.out = append(buf.out, '\n')
+	writeBody(w, http.StatusOK, buf.out)
 }
 
 // MaxBatchItems bounds one /v1/select/batch request.
 const MaxBatchItems = 1024
 
-// batchRequest is the /v1/select/batch request body.
-type batchRequest struct {
-	Requests []selector.BatchRequest `json:"requests"`
-}
-
-// batchItemResponse is one entry of the /v1/select/batch response's
-// "results" array. Exactly one of Decision and Error is set.
-type batchItemResponse struct {
-	Decision *selector.Decision `json:"decision,omitempty"`
-	Error    string             `json:"error,omitempty"`
-}
-
-// batchResponse is the /v1/select/batch response body. The results array
-// is positional: results[i] answers requests[i]. Item failures are
-// reported inline with HTTP 200; only malformed envelopes get 4xx.
-type batchResponse struct {
-	Count   int                 `json:"count"`
-	Errors  int                 `json:"errors"`
-	Results []batchItemResponse `json:"results"`
-}
-
+// handleSelectBatch answers {"requests": [...]} with {"count", "errors",
+// "results"}. The results array is positional: results[i] answers
+// requests[i] with either {"decision": ...} or {"error": ...}. Item
+// failures are reported inline with HTTP 200; only malformed envelopes get
+// 4xx.
 func (s *Server) handleSelectBatch(w http.ResponseWriter, r *http.Request) {
-	var req batchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20)).Decode(&req); err != nil {
+	buf := getWireBuf()
+	defer putWireBuf(buf)
+	if err := buf.readBody(w, r, 8<<20); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
-	if len(req.Requests) == 0 {
+	reqs, err := selector.DecodeBatch(buf.body.Bytes())
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		return
+	}
+	if len(reqs) == 0 {
 		writeError(w, http.StatusBadRequest, "empty batch: \"requests\" must have at least one item")
 		return
 	}
-	if len(req.Requests) > MaxBatchItems {
+	if len(reqs) > MaxBatchItems {
 		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("batch of %d items exceeds the limit of %d", len(req.Requests), MaxBatchItems))
+			fmt.Sprintf("batch of %d items exceeds the limit of %d", len(reqs), MaxBatchItems))
 		return
 	}
-	results := s.sel.SelectBatch(r.Context(), req.Requests)
-	resp := batchResponse{Count: len(results), Results: make([]batchItemResponse, len(results))}
-	for i, res := range results {
-		if res.Err != nil {
-			resp.Errors++
-			resp.Results[i] = batchItemResponse{Error: res.Err.Error()}
-			continue
-		}
-		resp.Results[i] = batchItemResponse{Decision: res.Decision}
+	results := s.sel.SelectBatchOwned(r.Context(), reqs)
+	if buf.out, err = appendBatchResponse(buf.out[:0], results); err != nil {
+		writeError(w, http.StatusInternalServerError, err.Error())
+		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeBody(w, http.StatusOK, buf.out)
+}
+
+// appendBatchResponse renders the /v1/select/batch reply, newline included,
+// as json.Encoder would render the equivalent struct.
+func appendBatchResponse(b []byte, results []selector.BatchResult) ([]byte, error) {
+	errs := 0
+	for _, res := range results {
+		if res.Err != nil {
+			errs++
+		}
+	}
+	b = append(b, `{"count":`...)
+	b = strconv.AppendInt(b, int64(len(results)), 10)
+	b = append(b, `,"errors":`...)
+	b = strconv.AppendInt(b, int64(errs), 10)
+	b = append(b, `,"results":[`...)
+	for i, res := range results {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		// Either field is omitted when empty, as omitempty did.
+		b = append(b, '{')
+		if res.Err != nil {
+			if msg := res.Err.Error(); msg != "" {
+				b = append(b, `"error":`...)
+				b = jsonappend.String(b, msg)
+			}
+		} else if res.Decision != nil {
+			b = append(b, `"decision":`...)
+			var err error
+			if b, err = selector.AppendDecision(b, res.Decision); err != nil {
+				return b, err
+			}
+		}
+		b = append(b, '}')
+	}
+	return append(b, "]}\n"...), nil
+}
+
+// wireBuf is the per-request scratch of the select endpoints: the request
+// body and the encoded reply.
+type wireBuf struct {
+	body bytes.Buffer
+	out  []byte
+}
+
+// maxPooledWireBuf caps what a wireBuf may hold when it goes back to the
+// pool, so one maximal batch does not pin megabytes per pool slot.
+const maxPooledWireBuf = 1 << 20
+
+var wireBufs = sync.Pool{New: func() any { return new(wireBuf) }}
+
+func getWireBuf() *wireBuf { return wireBufs.Get().(*wireBuf) }
+
+func putWireBuf(b *wireBuf) {
+	if b.body.Cap()+cap(b.out) > maxPooledWireBuf {
+		return
+	}
+	b.body.Reset()
+	wireBufs.Put(b)
+}
+
+// readBody drains the size-capped request body into b.body.
+func (b *wireBuf) readBody(w http.ResponseWriter, r *http.Request, limit int64) error {
+	if n := r.ContentLength; n > 0 && n <= limit {
+		b.body.Grow(int(n) + bytes.MinRead) // ReadFrom wants MinRead spare to see EOF
+	}
+	_, err := b.body.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
+	return err
 }
 
 // handleRegistry lists resident generations and the active one.
@@ -676,12 +752,20 @@ func readAll(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error
 	return io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
 }
 
+// writeJSON renders v as one line of compact JSON.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	json.NewEncoder(w).Encode(v)
+}
+
+// writeBody sends an already-encoded JSON document in one Write.
+func writeBody(w http.ResponseWriter, code int, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(code)
+	w.Write(body)
 }
 
 func writeError(w http.ResponseWriter, code int, msg string) {

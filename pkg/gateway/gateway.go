@@ -374,8 +374,8 @@ func (g *Gateway) handleSelect(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
-	var req selector.BatchRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	req, err := selector.DecodeSelect(body)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
@@ -438,26 +438,31 @@ type pendingItem struct {
 // positional envelope is reassembled. Items on a failed replica re-route
 // (bounded per-item attempts) in later rounds without failing the call.
 func (g *Gateway) handleSelectBatch(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Requests []selector.BatchRequest `json:"requests"`
-	}
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20)).Decode(&req); err != nil {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 8<<20))
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
-	if len(req.Requests) == 0 {
+	// The same decoder as the replicas, so both tiers accept and reject
+	// exactly the same bodies.
+	reqs, err := selector.DecodeBatch(body)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		return
+	}
+	if len(reqs) == 0 {
 		writeError(w, http.StatusBadRequest, "empty batch: \"requests\" must have at least one item")
 		return
 	}
-	if len(req.Requests) > MaxBatchItems {
+	if len(reqs) > MaxBatchItems {
 		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("batch of %d items exceeds the limit of %d", len(req.Requests), MaxBatchItems))
+			fmt.Sprintf("batch of %d items exceeds the limit of %d", len(reqs), MaxBatchItems))
 		return
 	}
 
-	results := make([]batchItem, len(req.Requests))
-	queue := make([]pendingItem, 0, len(req.Requests))
-	for i, item := range req.Requests {
+	results := make([]batchItem, len(reqs))
+	queue := make([]pendingItem, 0, len(reqs))
+	for i, item := range reqs {
 		queue = append(queue, pendingItem{
 			idx: i, req: item,
 			order: g.rank(selector.PartitionKey(item.Collective, item.Features, g.cfg.Quantum)),
@@ -690,12 +695,12 @@ func errString(err error) string {
 	return err.Error()
 }
 
+// writeJSON renders v as one line of compact JSON; replica payloads
+// embedded as json.RawMessage pass through as the replica wrote them.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	json.NewEncoder(w).Encode(v)
 }
 
 func writeError(w http.ResponseWriter, code int, msg string) {

@@ -8,9 +8,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"github.com/pml-mpi/pmlmpi/pkg/jsonappend"
 )
 
 // Level is a log severity level.
@@ -54,12 +57,24 @@ func ParseLevel(s string) Level {
 // Logger emits structured JSON lines: one object per record with ts, level,
 // msg, and any key/value fields. It is safe for concurrent use.
 type Logger struct {
-	mu    *sync.Mutex
-	w     io.Writer
+	out   *logSink
 	level *int32
 	base  []kv // fields attached via With
 	now   func() time.Time
 }
+
+// logSink is the writer a logger and its With children share. Records are
+// formatted into buf under mu, so emitting allocates no per-record buffer
+// and concurrent records never interleave.
+type logSink struct {
+	mu  sync.Mutex
+	w   io.Writer
+	buf []byte
+}
+
+// maxKeptLogBuf bounds the buffer a sink keeps between records, so one
+// outsized record (a flight-recorder dump) is not pinned for good.
+const maxKeptLogBuf = 64 << 10
 
 type kv struct {
 	k string
@@ -69,7 +84,7 @@ type kv struct {
 // NewLogger returns a logger writing JSON lines at or above the given level.
 func NewLogger(w io.Writer, level Level) *Logger {
 	lv := int32(level)
-	return &Logger{mu: &sync.Mutex{}, w: w, level: &lv, now: time.Now}
+	return &Logger{out: &logSink{w: w}, level: &lv, now: time.Now}
 }
 
 // SetLevel changes the minimum emitted level at runtime.
@@ -82,55 +97,105 @@ func (l *Logger) Enabled(level Level) bool { return level >= Level(atomic.LoadIn
 // every record. Keys must be strings; pairs are (key, value) interleaved.
 func (l *Logger) With(pairs ...any) *Logger {
 	child := *l
-	child.base = append(append([]kv(nil), l.base...), toKVs(pairs)...)
+	child.base = append([]kv(nil), l.base...)
+	for i := 0; i < len(pairs); i += 2 {
+		k, v := pairAt(pairs, i)
+		child.base = append(child.base, kv{k, v})
+	}
 	return &child
 }
 
-// WithCtx returns a logger that attaches the request ID from ctx, if any.
-func (l *Logger) WithCtx(ctx context.Context) *Logger {
-	if id := RequestIDFrom(ctx); id != "" {
-		return l.With("request_id", id)
-	}
-	return l
+// CtxLogger is a Logger view that stamps one request ID on every record.
+// It is a value, so deriving one per request allocates nothing.
+type CtxLogger struct {
+	l     *Logger
+	reqID string
 }
 
-func (l *Logger) Debug(msg string, pairs ...any) { l.emit(LevelDebug, msg, pairs) }
-func (l *Logger) Info(msg string, pairs ...any)  { l.emit(LevelInfo, msg, pairs) }
-func (l *Logger) Warn(msg string, pairs ...any)  { l.emit(LevelWarn, msg, pairs) }
-func (l *Logger) Error(msg string, pairs ...any) { l.emit(LevelError, msg, pairs) }
+// WithCtx returns a view of l that attaches the request ID from ctx, if
+// any, to every record at emit time.
+func (l *Logger) WithCtx(ctx context.Context) CtxLogger {
+	return CtxLogger{l: l, reqID: RequestIDFrom(ctx)}
+}
 
-func (l *Logger) emit(level Level, msg string, pairs []any) {
+func (c CtxLogger) Debug(msg string, pairs ...any) { c.l.emit(LevelDebug, msg, c.reqID, pairs) }
+func (c CtxLogger) Info(msg string, pairs ...any)  { c.l.emit(LevelInfo, msg, c.reqID, pairs) }
+func (c CtxLogger) Warn(msg string, pairs ...any)  { c.l.emit(LevelWarn, msg, c.reqID, pairs) }
+func (c CtxLogger) Error(msg string, pairs ...any) { c.l.emit(LevelError, msg, c.reqID, pairs) }
+
+func (l *Logger) Debug(msg string, pairs ...any) { l.emit(LevelDebug, msg, "", pairs) }
+func (l *Logger) Info(msg string, pairs ...any)  { l.emit(LevelInfo, msg, "", pairs) }
+func (l *Logger) Warn(msg string, pairs ...any)  { l.emit(LevelWarn, msg, "", pairs) }
+func (l *Logger) Error(msg string, pairs ...any) { l.emit(LevelError, msg, "", pairs) }
+
+// emit formats one record: ts, level, msg, the With fields, the request ID
+// (when non-empty), then pairs.
+func (l *Logger) emit(level Level, msg, reqID string, pairs []any) {
 	if !l.Enabled(level) {
 		return
 	}
-	buf := make([]byte, 0, 256)
-	buf = append(buf, `{"ts":"`...)
-	buf = append(buf, l.now().UTC().Format(time.RFC3339Nano)...)
+	ts := l.now().UTC()
+	out := l.out
+	out.mu.Lock()
+	buf := append(out.buf[:0], `{"ts":"`...)
+	buf = ts.AppendFormat(buf, time.RFC3339Nano)
 	buf = append(buf, `","level":"`...)
 	buf = append(buf, level.String()...)
 	buf = append(buf, `","msg":`...)
-	buf = appendJSON(buf, msg)
+	buf = jsonappend.String(buf, msg)
 	for _, f := range l.base {
 		buf = appendField(buf, f.k, f.v)
 	}
-	for _, f := range toKVs(pairs) {
-		buf = appendField(buf, f.k, f.v)
+	if reqID != "" {
+		buf = appendField(buf, "request_id", reqID)
+	}
+	for i := 0; i < len(pairs); i += 2 {
+		k, v := pairAt(pairs, i)
+		buf = appendField(buf, k, v)
 	}
 	buf = append(buf, '}', '\n')
-
-	l.mu.Lock()
-	l.w.Write(buf)
-	l.mu.Unlock()
+	out.w.Write(buf)
+	if cap(buf) <= maxKeptLogBuf {
+		out.buf = buf
+	}
+	out.mu.Unlock()
 }
 
 func appendField(buf []byte, k string, v any) []byte {
 	buf = append(buf, ',')
-	buf = appendJSON(buf, k)
+	buf = jsonappend.String(buf, k)
 	buf = append(buf, ':')
-	return appendJSON(buf, v)
+	return appendValue(buf, v)
 }
 
-func appendJSON(buf []byte, v any) []byte {
+// appendValue renders the field types the serving path logs without
+// reflection — each case appends exactly what json.Marshal would — and
+// hands every other type (maps, slices, structs, NaN) to json.Marshal.
+func appendValue(buf []byte, v any) []byte {
+	switch x := v.(type) {
+	case string:
+		return jsonappend.String(buf, x)
+	case bool:
+		return strconv.AppendBool(buf, x)
+	case int:
+		return strconv.AppendInt(buf, int64(x), 10)
+	case int32:
+		return strconv.AppendInt(buf, int64(x), 10)
+	case int64:
+		return strconv.AppendInt(buf, x, 10)
+	case time.Duration:
+		return strconv.AppendInt(buf, int64(x), 10)
+	case uint:
+		return strconv.AppendUint(buf, uint64(x), 10)
+	case uint32:
+		return strconv.AppendUint(buf, uint64(x), 10)
+	case uint64:
+		return strconv.AppendUint(buf, x, 10)
+	case float64:
+		if out, ok := jsonappend.Float64(buf, x); ok {
+			return out
+		}
+	}
 	b, err := json.Marshal(v)
 	if err != nil {
 		b, _ = json.Marshal(fmt.Sprint(v))
@@ -138,19 +203,18 @@ func appendJSON(buf []byte, v any) []byte {
 	return append(buf, b...)
 }
 
-func toKVs(pairs []any) []kv {
-	out := make([]kv, 0, len(pairs)/2)
-	for i := 0; i+1 < len(pairs); i += 2 {
-		k, ok := pairs[i].(string)
-		if !ok {
-			k = fmt.Sprint(pairs[i])
-		}
-		out = append(out, kv{k: k, v: pairs[i+1]})
+// pairAt returns the key and value of the pair starting at pairs[i] (i
+// even). A non-string key is rendered with fmt.Sprint; a trailing value
+// without a key is named "arg".
+func pairAt(pairs []any, i int) (string, any) {
+	if i+1 == len(pairs) {
+		return "arg", pairs[i]
 	}
-	if len(pairs)%2 == 1 {
-		out = append(out, kv{k: "arg", v: pairs[len(pairs)-1]})
+	k, ok := pairs[i].(string)
+	if !ok {
+		k = fmt.Sprint(pairs[i])
 	}
-	return out
+	return k, pairs[i+1]
 }
 
 type requestIDKey struct{}

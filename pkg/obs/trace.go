@@ -54,24 +54,89 @@ type spanKey struct{}
 // trace root: if the tracer's store samples it, the whole tree it anchors is
 // retained.
 func (t *Tracer) Start(ctx context.Context, name string) (context.Context, *Span) {
-	s := &Span{
-		tracer: t,
-		name:   name,
-		reqID:  RequestIDFrom(ctx),
-		start:  t.now(),
-	}
-	if parent, ok := ctx.Value(spanKey{}).(*Span); ok {
-		s.parent = parent.name
-		if parent.tb != nil {
-			s.tb = parent.tb
-			s.spanID = parent.tb.spanID()
-			s.parentID = parent.spanID
-		}
-	} else if t.store != nil && t.store.Sample() {
-		s.tb = newTraceBuilder(t.store)
-		s.spanID = s.tb.spanID()
-	}
+	parent, _ := ctx.Value(spanKey{}).(*Span)
+	s := t.newSpan(name, RequestIDFrom(ctx), parent, parent == nil && t.sampleRoot())
 	return context.WithValue(ctx, spanKey{}, s), s
+}
+
+func (t *Tracer) sampleRoot() bool { return t.store != nil && t.store.Sample() }
+
+// newSpan builds a span under parent (nil for a trace root, which starts a
+// retained trace when sampledRoot says head sampling picked it).
+func (t *Tracer) newSpan(name, reqID string, parent *Span, sampledRoot bool) *Span {
+	s := &Span{tracer: t, name: name, reqID: reqID, start: t.now()}
+	switch {
+	case parent == nil:
+		if sampledRoot {
+			s.tb = newTraceBuilder(t.store)
+			s.spanID = s.tb.spanID()
+		}
+	case parent.tb != nil:
+		s.parent = parent.name
+		s.tb = parent.tb
+		s.spanID = parent.tb.spanID()
+		s.parentID = parent.spanID
+	default:
+		s.parent = parent.name
+	}
+	return s
+}
+
+// Stage is a span name bound once to its pmlmpi_span_duration_seconds
+// series, for code that runs the same stage on every request. Unlike
+// Tracer.Start it materializes a span only when somebody will read it.
+type Stage struct {
+	t    *Tracer
+	name string
+	hist BoundHistogram
+}
+
+// Stage binds name to its duration series.
+func (t *Tracer) Stage(name string) Stage {
+	return Stage{t: t, name: name, hist: t.hist.Bind(name)}
+}
+
+// Start begins the stage as a real span — same tree, same sampling tick as
+// Tracer.Start — when the span will be kept: its trace is sampled (a sampled
+// parent in ctx, or this root wins the head-sampling roll) or the log level
+// is debug. Otherwise it allocates nothing and returns ctx unchanged with a
+// nil span; the caller times the stage itself and reports it with End,
+// so the duration series counts every request either way. reqID stamps the
+// span directly, sparing callers a derived request-ID context.
+func (st Stage) Start(ctx context.Context, reqID string) (context.Context, *Span) {
+	t := st.t
+	parent, _ := ctx.Value(spanKey{}).(*Span)
+	var sampled bool
+	if parent != nil {
+		sampled = parent.tb != nil
+	} else {
+		sampled = t.sampleRoot()
+	}
+	if !sampled && !t.log.Enabled(LevelDebug) {
+		return ctx, nil
+	}
+	s := t.newSpan(st.name, reqID, parent, sampled)
+	return context.WithValue(ctx, spanKey{}, s), s
+}
+
+// Child begins the stage as a child span of parent, or stays spanless (nil)
+// when the parent stage did: a request is traced as a whole or not at all.
+func (st Stage) Child(parent *Span) *Span {
+	if parent == nil {
+		return nil
+	}
+	return st.t.newSpan(st.name, parent.reqID, parent, false)
+}
+
+// End finishes the stage: sp.End() when it ran as a span (sp non-nil, the
+// span reads its own clock), otherwise the caller-measured d goes straight
+// into the duration series.
+func (st Stage) End(sp *Span, d time.Duration) {
+	if sp != nil {
+		sp.End()
+		return
+	}
+	st.hist.Observe(d.Seconds())
 }
 
 // TraceID returns the ID of the sampled trace this span belongs to, or ""

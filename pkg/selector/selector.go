@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sync/atomic"
 	"time"
 
 	"github.com/pml-mpi/pmlmpi/pkg/analytics"
@@ -153,6 +154,13 @@ type Selector struct {
 	batches    *obs.Counter
 	batchSize  *obs.Histogram
 
+	// Span stages of the selection path, bound to their duration series.
+	stBatch, stDecide, stExtract, stEval obs.Stage
+
+	// instr holds the per-decision instruments of the active bundle,
+	// collective → class → series, bound once per generation swap.
+	instr atomic.Pointer[map[string][]decisionInstr]
+
 	// Per-bundle instruments, re-pointed at each generation swap.
 	gLoaded    *obs.Gauge
 	gSize      *obs.Gauge
@@ -241,6 +249,10 @@ func NewFromSource(src Source, o *obs.Obs, cfg Config) *Selector {
 			"Wall time of one forest evaluation.", obs.LatencyBuckets, "collective"),
 		swapsTotal: reg.Counter("pmlmpi_selector_bundle_swaps_total",
 			"Generation swaps observed by the selector."),
+		stBatch:   o.Tracer.Stage("selector.batch"),
+		stDecide:  o.Tracer.Stage("selector.decide"),
+		stExtract: o.Tracer.Stage("feature.extract"),
+		stEval:    o.Tracer.Stage("forest.eval"),
 	}
 
 	if b, gen := src.Active(); b != nil {
@@ -271,13 +283,16 @@ func NewFromSource(src Source, o *obs.Obs, cfg Config) *Selector {
 // configured.
 func (s *Selector) Health() *modelhealth.Observatory { return s.health }
 
-// instrumentBundle points the per-bundle gauges at b and wires its forests
-// into the predict-latency histogram. Safe to call while other goroutines
+// instrumentBundle points the per-bundle gauges at b, wires its forests
+// into the predict-latency histogram, and binds the per-decision series of
+// every (collective, class) it can produce, so a decision touches neither
+// the label join nor a series map. Safe to call while other goroutines
 // evaluate b or earlier generations (forest instrumentation is atomic).
 func (s *Selector) instrumentBundle(b *bundle.Bundle) {
 	s.gLoaded.Set(1)
 	s.gSize.Set(float64(b.SizeBytes))
 	s.gTrained.Set(float64(len(b.TrainedOn)))
+	instr := make(map[string][]decisionInstr, len(b.Collectives))
 	for name, c := range b.Collectives {
 		s.gTrees.Set(float64(len(c.Forest.Trees)), name)
 		observe := s.hPredict.Bind(name).Observe
@@ -285,7 +300,46 @@ func (s *Selector) instrumentBundle(b *bundle.Bundle) {
 		if cf := c.Compiled(); cf != nil {
 			cf.Instrument(observe)
 		}
+		row := make([]decisionInstr, c.Forest.NClasses)
+		for class := range row {
+			row[class] = s.bindDecision(name, class)
+		}
+		instr[name] = row
 	}
+	s.instr.Store(&instr)
+}
+
+// decisionInstr is everything one decision reports into, resolved for a
+// (collective, class) pair.
+type decisionInstr struct {
+	algo      string
+	sel       obs.BoundCounter
+	cold, hit obs.BoundHistogram
+	cell      *analytics.Cell
+}
+
+func (s *Selector) bindDecision(collective string, class int) decisionInstr {
+	algo := s.AlgorithmName(collective, class)
+	return decisionInstr{
+		algo: algo,
+		sel:  s.selections.Bind(collective, algo),
+		cold: s.duration.Bind(collective, PathCold),
+		hit:  s.duration.Bind(collective, PathCacheHit),
+		cell: s.agg.Cell(collective, algo),
+	}
+}
+
+// instruments returns the bound series for a decision. The table covers the
+// active bundle; a decision still in flight on a generation that was just
+// swapped out may miss it and binds on the spot.
+func (s *Selector) instruments(collective string, class int) *decisionInstr {
+	if tbl := s.instr.Load(); tbl != nil {
+		if row := (*tbl)[collective]; class >= 0 && class < len(row) {
+			return &row[class]
+		}
+	}
+	in := s.bindDecision(collective, class)
+	return &in
 }
 
 // Analytics snapshots the per-collective × per-algorithm selection rollup
@@ -329,13 +383,48 @@ func (s *Selector) AlgorithmName(collective string, class int) string {
 // path: extraction, one sharded-map lookup, pre-bound instruments, a ring
 // append, and — when head sampling picks the request — one cheap
 // single-span trace record; no forest walk and no logging. Misses (and all
-// calls when no cache is configured) take the fully traced path: one span
-// per stage, histogram observations, and a structured log record.
+// calls when no cache is configured) take the cold path: stage durations,
+// pre-bound counters, a structured log record, and — when the request is
+// sampled or the log level is debug — one span per stage.
 func (s *Selector) Select(ctx context.Context, collective string, features map[string]float64) (*Decision, error) {
-	if s.slo == nil {
-		return s.doSelect(ctx, collective, features)
+	return s.run(ctx, collective, features, selectCall{})
+}
+
+// SelectOwned is Select for callers that hand the feature map over: the
+// decision keeps features instead of copying it, so the caller must not
+// modify the map afterwards. It suits maps decoded for this one call.
+func (s *Selector) SelectOwned(ctx context.Context, collective string, features map[string]float64) (*Decision, error) {
+	return s.run(ctx, collective, features, selectCall{owned: true})
+}
+
+// selectCall carries what differs between the entry points of one
+// selection: Select, SelectOwned and the items of a batch.
+type selectCall struct {
+	// reqID names the decision; empty means the ID in ctx, or a fresh one.
+	reqID string
+	// owned lets the decision keep the feature map instead of copying it.
+	owned bool
+	// batched marks a batch item: the batch logs one record for all of
+	// them, so the item writes no "selection" line of its own.
+	batched bool
+}
+
+func (c selectCall) requestID(ctx context.Context) string {
+	if c.reqID != "" {
+		return c.reqID
 	}
-	d, err := s.doSelect(ctx, collective, features)
+	if id := obs.RequestIDFrom(ctx); id != "" {
+		return id
+	}
+	return obs.NewRequestID()
+}
+
+// run is one selection plus SLO feeding.
+func (s *Selector) run(ctx context.Context, collective string, features map[string]float64, call selectCall) (*Decision, error) {
+	d, err := s.doSelect(ctx, collective, features, call)
+	if s.slo == nil {
+		return d, err
+	}
 	// Feed the SLO windows with the decision's own measured latency (no
 	// extra clock reads on the hot path); failures count against the
 	// availability budget with no latency contribution.
@@ -347,15 +436,15 @@ func (s *Selector) Select(ctx context.Context, collective string, features map[s
 	return d, err
 }
 
-// doSelect is the selection path proper; Select wraps it with SLO feeding.
-func (s *Selector) doSelect(ctx context.Context, collective string, features map[string]float64) (*Decision, error) {
+// doSelect is the selection path proper.
+func (s *Selector) doSelect(ctx context.Context, collective string, features map[string]float64, call selectCall) (*Decision, error) {
 	b, gen := s.src.Active()
 	if b == nil {
 		s.selErrors.Inc(collective, "no_active_bundle")
 		return nil, fmt.Errorf("no active model bundle (registry has nothing promoted)")
 	}
 	if s.cache == nil {
-		d, err := s.selectTraced(ctx, b, gen, collective, features, nil, time.Time{}, 0)
+		d, _, err := s.selectCold(ctx, b, gen, collective, features, nil, time.Time{}, 0, call)
 		if err != nil {
 			return nil, err
 		}
@@ -387,21 +476,17 @@ func (s *Selector) doSelect(ctx context.Context, collective string, features map
 	key := featureKey(gen, collective, x, s.quantum)
 	if v, ok := s.cache.Get(key); ok {
 		e := v.(cachedEntry)
-		reqID := obs.RequestIDFrom(ctx)
-		if reqID == "" {
-			reqID = obs.NewRequestID()
-		}
 		elapsed := time.Since(start)
 		// Per-request envelope around the shared cached payload; the
 		// Features/Probs/Votes slices are shared and read-only.
 		d := e.d
 		d.Time = start
-		d.RequestID = reqID
+		d.RequestID = call.requestID(ctx)
 		d.LatencyNS = elapsed.Nanoseconds()
 		d.Cached = true
-		e.sel.Inc()
-		e.lat.Observe(elapsed.Seconds())
-		e.cell.Record(elapsed.Seconds(), true)
+		e.in.sel.Inc()
+		e.in.hit.Observe(elapsed.Seconds())
+		e.in.cell.Record(elapsed.Seconds(), true)
 		if s.health != nil {
 			s.health.RecordDecision(gen, collective, d.Algorithm,
 				c.Features, x, d.Margin, true, d.LatencyNS)
@@ -420,18 +505,13 @@ func (s *Selector) doSelect(ctx context.Context, collective string, features map
 		s.offerShadow(collective, features, &d)
 		return &d, nil
 	}
-	d, err := s.selectTraced(ctx, b, gen, collective, features, x, extractStart, extractDur)
+	// The forest may fan x out to goroutines, which would move xbuf to the
+	// heap for hits too; a miss pays for its own copy instead.
+	d, in, err := s.selectCold(ctx, b, gen, collective, features, append([]float64(nil), x...), extractStart, extractDur, call)
 	if err != nil {
 		return nil, err
 	}
-	// Bind the metric series once at insert so hits touch neither the
-	// label-join path nor the series map.
-	s.cache.Put(key, cachedEntry{
-		d:    *d,
-		sel:  s.selections.Bind(collective, d.Algorithm),
-		lat:  s.duration.Bind(collective, PathCacheHit),
-		cell: s.agg.Cell(collective, d.Algorithm),
-	})
+	s.cache.Put(key, cachedEntry{d: *d, in: in})
 	s.offerShadow(collective, features, d)
 	return d, nil
 }
@@ -446,73 +526,83 @@ func (s *Selector) offerShadow(collective string, features map[string]float64, d
 }
 
 // cachedEntry is the decision-cache payload: the memoized decision plus
-// its pre-resolved metric series and analytics cell.
+// its pre-resolved metric series and analytics cell, so hits touch neither
+// the label-join path nor the series map.
 type cachedEntry struct {
-	d    Decision
-	sel  obs.BoundCounter
-	lat  obs.BoundHistogram
-	cell *analytics.Cell
+	d  Decision
+	in *decisionInstr
 }
 
-// selectTraced is the fully instrumented selection path, evaluating against
-// the (b, gen) snapshot its caller read from the source. A non-nil x is a
-// pre-extracted feature vector (cache-miss path): extraction already ran to
-// build the cache key, so instead of a live feature.extract span its
-// measured timing (extractStart/extractDur) is backfilled into the sampled
-// trace, keeping miss span trees as complete as cache-less ones.
-func (s *Selector) selectTraced(ctx context.Context, b *bundle.Bundle, gen uint64, collective string, features map[string]float64, x []float64, extractStart time.Time, extractDur time.Duration) (*Decision, error) {
-	ctx, reqID := obs.WithRequestID(ctx, obs.RequestIDFrom(ctx))
-	ctx, decide := s.o.Tracer.Start(ctx, "selector.decide")
-	decide.SetAttr("collective", collective)
+// selectCold is the forest-walking selection path, evaluating against the
+// (b, gen) snapshot its caller read from the source. Every request feeds the
+// stage-duration series; only a request that is traced (see obs.Stage.Start)
+// pays for spans and a derived context. A non-nil x is a pre-extracted
+// feature vector (cache-miss path): extraction already ran to build the
+// cache key, so instead of a live feature.extract span its measured timing
+// (extractStart/extractDur) is backfilled into the sampled trace, keeping
+// miss span trees as complete as cache-less ones. It returns the decision
+// with the bound series it reported into.
+func (s *Selector) selectCold(ctx context.Context, b *bundle.Bundle, gen uint64, collective string, features map[string]float64, x []float64, extractStart time.Time, extractDur time.Duration, call selectCall) (*Decision, *decisionInstr, error) {
+	reqID := call.requestID(ctx)
+	ctx, decide := s.stDecide.Start(ctx, reqID)
+	if decide != nil {
+		decide.SetAttr("collective", collective)
+	}
 	start := time.Now()
 
 	c, ok := b.Collective(collective)
 	if !ok {
-		decide.End()
+		s.stDecide.End(decide, time.Since(start))
 		s.selErrors.Inc(collective, "unknown_collective")
-		return nil, fmt.Errorf("unknown collective %q (bundle has %v)", collective, b.CollectiveNames())
+		return nil, nil, fmt.Errorf("unknown collective %q (bundle has %v)", collective, b.CollectiveNames())
 	}
 
+	evalStart := start
 	if x == nil {
-		var extract *obs.Span
+		extract := s.stExtract.Child(decide)
 		var err error
-		_, extract = s.o.Tracer.Start(ctx, "feature.extract")
 		x, err = c.Vector(features)
-		extract.End()
+		evalStart = time.Now()
+		s.stExtract.End(extract, evalStart.Sub(start))
 		if err != nil {
-			decide.End()
+			s.stDecide.End(decide, evalStart.Sub(start))
 			s.selErrors.Inc(collective, "missing_feature")
-			return nil, err
+			return nil, nil, err
 		}
-	} else if s.o.Tracer.SampleLeaf(ctx) {
+	} else if decide != nil && s.o.Tracer.SampleLeaf(ctx) {
 		s.o.Tracer.RecordLeaf(ctx, "feature.extract", extractStart, extractDur, nil)
 	}
 
-	_, eval := s.o.Tracer.Start(ctx, "forest.eval")
+	eval := s.stEval.Child(decide)
 	pred, err := s.predict(c, x)
-	eval.End()
+	end := time.Now()
+	s.stEval.End(eval, end.Sub(evalStart))
+	elapsed := end.Sub(start)
 	if err != nil {
-		decide.End()
+		s.stDecide.End(decide, elapsed)
 		s.selErrors.Inc(collective, "forest_error")
-		return nil, fmt.Errorf("collective %q: %w", collective, err)
+		return nil, nil, fmt.Errorf("collective %q: %w", collective, err)
 	}
+	if decide != nil {
+		decide.SetAttr("class", pred.Class)
+	}
+	s.stDecide.End(decide, elapsed)
 
-	elapsed := time.Since(start)
-	decide.SetAttr("class", pred.Class)
-	decide.End()
+	in := s.instruments(collective, pred.Class)
+	in.sel.Inc()
+	in.cold.Observe(elapsed.Seconds())
+	in.cell.Record(elapsed.Seconds(), false)
 
-	algo := s.AlgorithmName(collective, pred.Class)
-	s.selections.Inc(collective, algo)
-	s.duration.Observe(elapsed.Seconds(), collective, PathCold)
-	s.agg.Record(collective, algo, elapsed.Seconds(), false)
-
+	if !call.owned {
+		features = copyFeatures(features)
+	}
 	margin := forest.Margin(pred.Probs)
-	d := Decision{
+	d := &Decision{
 		Time:       start,
 		RequestID:  reqID,
 		Collective: collective,
-		Features:   copyFeatures(features),
-		Algorithm:  algo,
+		Features:   features,
+		Algorithm:  in.algo,
 		Class:      pred.Class,
 		Probs:      pred.Probs,
 		Votes:      pred.Votes,
@@ -522,17 +612,20 @@ func (s *Selector) selectTraced(ctx context.Context, b *bundle.Bundle, gen uint6
 	}
 	if s.health != nil {
 		d.LowMargin = margin < s.health.MarginWarn()
-		s.health.RecordDecision(gen, collective, algo,
+		s.health.RecordDecision(gen, collective, in.algo,
 			c.Features, x, margin, false, d.LatencyNS)
 	}
-	s.ring.add(d)
+	s.ring.add(*d)
 
-	s.o.Logger.WithCtx(ctx).Info("selection",
-		"collective", collective,
-		"algorithm", algo,
-		"class", pred.Class,
-		"latency_us", float64(elapsed.Microseconds()))
-	return &d, nil
+	if !call.batched && s.o.Logger.Enabled(obs.LevelInfo) {
+		s.o.Logger.Info("selection",
+			"request_id", reqID,
+			"collective", collective,
+			"algorithm", in.algo,
+			"class", pred.Class,
+			"latency_us", float64(elapsed.Microseconds()))
+	}
+	return d, in, nil
 }
 
 // predict runs the forest through the configured evaluator. In compiled
