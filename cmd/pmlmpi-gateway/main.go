@@ -51,7 +51,7 @@ func main() {
 		MaxAttempts:    *maxAttempts,
 		HealthInterval: *healthInterval,
 		ControlPlane:   *controlPlane,
-		Client:         &http.Client{Timeout: *timeout},
+		Client:         gateway.NewProxyClient(*timeout),
 	}, *shutdownTimeout); err != nil {
 		o.Logger.Error("fatal", "error", err.Error())
 		os.Exit(1)

@@ -13,6 +13,7 @@ package fleete2e
 import (
 	"context"
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"testing"
@@ -20,6 +21,7 @@ import (
 
 	"github.com/pml-mpi/pmlmpi/pkg/admin"
 	"github.com/pml-mpi/pmlmpi/pkg/bundle"
+	"github.com/pml-mpi/pmlmpi/pkg/cache"
 	"github.com/pml-mpi/pmlmpi/pkg/controlplane"
 	"github.com/pml-mpi/pmlmpi/pkg/forest"
 	"github.com/pml-mpi/pmlmpi/pkg/gateway"
@@ -375,6 +377,15 @@ type serveStack struct {
 
 func newServeStack(t *testing.T, bundleData []byte) *serveStack {
 	t.Helper()
+	ts := httptest.NewServer(newServeHandler(t, bundleData, 0))
+	t.Cleanup(ts.Close)
+	return &serveStack{srv: ts}
+}
+
+// newServeHandler is the serving node itself, without a listener, with a
+// decision cache when cacheEntries > 0.
+func newServeHandler(t *testing.T, bundleData []byte, cacheEntries int) http.Handler {
+	t.Helper()
 	o := obs.NewForTest()
 	reg := registry.New(o, registry.Config{})
 	gen, err := reg.LoadData(bundleData, "fleete2e")
@@ -384,10 +395,11 @@ func newServeStack(t *testing.T, bundleData []byte) *serveStack {
 	if _, err := reg.Promote(gen.ID()); err != nil {
 		t.Fatalf("Promote: %v", err)
 	}
-	sel := selector.NewFromSource(reg, o, selector.Config{})
-	ts := httptest.NewServer(admin.New(sel, o, admin.Config{Registry: reg, Role: "replica"}))
-	t.Cleanup(ts.Close)
-	return &serveStack{srv: ts}
+	var cfg selector.Config
+	if cacheEntries > 0 {
+		cfg.Cache = cache.New(cache.Config{MaxEntries: cacheEntries}, o.Registry)
+	}
+	return admin.New(selector.NewFromSource(reg, o, cfg), o, admin.Config{Registry: reg, Role: "replica"})
 }
 
 // TestGatewayLoadgenTallyMatchesSingleServer replays the same seeded

@@ -76,6 +76,17 @@ func TestTiersAcceptAndRejectTheSameBodies(t *testing.T) {
 		{"invalid utf-8 name", "{\"collective\":\"all\xffgather\",\"features\":" + string(feats) + "}", 422, 400},
 		{"unknown collective", `{"collective":"scan","features":` + string(feats) + `}`, 422, 400},
 		{"missing feature", `{"collective":"allgather","features":{}}`, 422, 400},
+		// Batch items the gateway forwards as the client wrote them, where it
+		// used to forward a re-encoding of what it had decoded.
+		{"item with unknown fields", `{"requests":[{"trace":{"ids":[1,2]},"collective":"allgather","features":` + string(feats) + `,"note":"x"}]}`, 400, 200},
+		{"item with other key case", `{"requests":[{"Collective":"allgather","FEATURES":` + string(feats) + `}]}`, 400, 200},
+		{"item with escaped keys", `{"requests":[{"\u0063ollective":"allgather","featur\u0065s":` + string(feats) + `}]}`, 400, 200},
+		{"item with escaped value", `{"requests":[{"collective":"all\u0067ather","features":` + string(feats) + `}]}`, 400, 200},
+		{"item with duplicate keys", `{"requests":[{"collective":"scan","collective":"allgather","features":{},"features":` + string(feats) + `}]}`, 400, 200},
+		{"item with a duplicate feature", `{"requests":[{"collective":"allgather","features":` + strings.Replace(string(feats), `{`, `{"ppn":-1,`, 1) + `}]}`, 400, 200},
+		{"odd item among canonical ones", `{"requests":[` + item + `,{"collective":"broadcast","features":` + string(feats) + `,"x":null},` + item + `,{"collective":"scan","features":{}}]}`, 400, 200},
+		{"envelope key twice", `{"requests":[` + item + `,` + item + `],"requests":[{"features":` + string(feats) + `}]}`, 400, 200},
+		{"envelope key twice, then null", `{"requests":[` + item + `],"requests":null}`, 400, 400},
 	}
 
 	post := func(base, path, body string) (int, string) {
@@ -92,12 +103,23 @@ func TestTiersAcceptAndRejectTheSameBodies(t *testing.T) {
 			Error     string `json:"error"`
 			Algorithm string `json:"algorithm"`
 			Errors    int    `json:"errors"`
+			Results   []struct {
+				Decision struct {
+					Collective string `json:"collective"`
+					Algorithm  string `json:"algorithm"`
+				} `json:"decision"`
+				Error string `json:"error"`
+			} `json:"results"`
 		}
 		if err := json.Unmarshal(raw, &reply); err != nil {
 			t.Fatalf("POST %s%s: reply is not JSON: %v: %q", base, path, err, raw)
 		}
 		if resp.StatusCode == http.StatusOK {
-			return resp.StatusCode, reply.Algorithm + "/" + string(rune('0'+reply.Errors))
+			says := reply.Algorithm + "/" + string(rune('0'+reply.Errors))
+			for _, res := range reply.Results {
+				says += " " + res.Decision.Collective + ":" + res.Decision.Algorithm + res.Error
+			}
+			return resp.StatusCode, says
 		}
 		return resp.StatusCode, reply.Error
 	}

@@ -13,7 +13,14 @@
 // probes /healthz on an interval, which also revives recovered
 // replicas). Routing prefers healthy replicas in rendezvous order and
 // falls back to unhealthy ones only when nothing better remains, with a
-// bounded number of attempts per request.
+// bounded number of attempts per request. A caller that hangs up says
+// nothing about a replica: its attempt is neither retried nor held against
+// the replica's health.
+//
+// Batches are split and merged by span, not re-encoded: each item's bytes
+// go to its owner as the client wrote them, and each replica's result
+// elements come back into the merged reply as the replica wrote them (see
+// splice.go).
 package gateway
 
 import (
@@ -23,14 +30,17 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"net"
 	"net/http"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/pml-mpi/pmlmpi/pkg/buildinfo"
+	"github.com/pml-mpi/pmlmpi/pkg/jsonappend"
 	"github.com/pml-mpi/pmlmpi/pkg/obs"
 	"github.com/pml-mpi/pmlmpi/pkg/selector"
 )
@@ -66,8 +76,29 @@ type Config struct {
 	// ControlPlane, when set, is the control-plane base URL; /healthz
 	// then embeds the fleet-ring manifest as the gateway's desired view.
 	ControlPlane string
-	// Client overrides the proxy HTTP client (default 10s timeout).
+	// Client overrides the proxy HTTP client (default NewProxyClient with a
+	// 10s timeout).
 	Client *http.Client
+}
+
+// proxyIdleConnsPerHost is how many idle connections the proxy client keeps
+// per replica. A front door has as many requests in flight to one replica as
+// it has callers; net/http's default of two makes every caller past the
+// second dial a connection per request and close it afterwards.
+const proxyIdleConnsPerHost = 256
+
+// NewProxyClient returns the gateway's replica-facing HTTP client: its own
+// transport, sized for a front door, with timeout bounding each attempt.
+func NewProxyClient(timeout time.Duration) *http.Client {
+	return &http.Client{
+		Timeout: timeout,
+		Transport: &http.Transport{
+			Proxy:               http.ProxyFromEnvironment,
+			DialContext:         (&net.Dialer{Timeout: 30 * time.Second, KeepAlive: 30 * time.Second}).DialContext,
+			MaxIdleConnsPerHost: proxyIdleConnsPerHost,
+			IdleConnTimeout:     90 * time.Second,
+		},
+	}
 }
 
 // replica is one backend plus its routing and accounting state.
@@ -76,8 +107,19 @@ type replica struct {
 	url  string
 	seed uint64 // rendezvous seed derived from the ID
 
+	// Built once in New and shared, read-only, by every attempt: the request
+	// each proxied path starts from (parsed URL, headers), the batch merge's
+	// `,"replica":"<id>"`, and the series a healthy replica hits on every call.
+	selectReq, batchReq *http.Request
+	annotation          []byte
+	ok200               obs.BoundCounter
+	latency             obs.BoundHistogram
+
+	// healthy is written under mu with lastErr (healthy implies no lastErr)
+	// and read without it by routing.
+	healthy atomic.Bool
+
 	mu         sync.Mutex
-	healthy    bool
 	lastErr    string
 	activeGen  uint64
 	activeHash string
@@ -121,7 +163,7 @@ func New(o *obs.Obs, cfg Config) (*Gateway, error) {
 	}
 	client := cfg.Client
 	if client == nil {
-		client = &http.Client{Timeout: 10 * time.Second}
+		client = NewProxyClient(10 * time.Second)
 	}
 	g := &Gateway{
 		o:       o,
@@ -132,7 +174,7 @@ func New(o *obs.Obs, cfg Config) (*Gateway, error) {
 		httpRequests: o.Registry.Counter("pmlmpi_gw_http_requests_total",
 			"Gateway HTTP requests served, by path and status code.", "path", "code"),
 		proxied: o.Registry.Counter("pmlmpi_gw_proxy_requests_total",
-			"Proxy attempts, by replica and outcome code (HTTP status or \"error\").", "replica", "code"),
+			"Proxy attempts, by replica and outcome code (HTTP status, \"error\", or \"canceled\" when the caller went away).", "replica", "code"),
 		proxyLatency: o.Registry.Histogram("pmlmpi_gw_proxy_duration_seconds",
 			"Proxy round-trip latency, by replica.", obs.LatencyBuckets, "replica"),
 		retries: o.Registry.Counter("pmlmpi_gw_retries_total",
@@ -149,16 +191,27 @@ func New(o *obs.Obs, cfg Config) (*Gateway, error) {
 			return nil, fmt.Errorf("duplicate replica id %q", spec.ID)
 		}
 		seen[spec.ID] = true
-		g.replicas = append(g.replicas, &replica{
-			id:   spec.ID,
-			url:  strings.TrimRight(spec.URL, "/"),
-			seed: replicaSeed(spec.ID),
-			// Optimistic start: a replica is presumed healthy until a
-			// probe or proxy attempt says otherwise, so the gateway
-			// serves before the first health sweep completes.
-			healthy:    true,
+		rp := &replica{
+			id:         spec.ID,
+			url:        strings.TrimRight(spec.URL, "/"),
+			seed:       replicaSeed(spec.ID),
+			annotation: jsonappend.String([]byte(`,"replica":`), spec.ID),
+			ok200:      g.proxied.Bind(spec.ID, "200"),
+			latency:    g.proxyLatency.Bind(spec.ID),
 			selections: make(map[string]uint64),
-		})
+		}
+		var err error
+		if rp.selectReq, err = proxyTemplate(rp.url + "/v1/select"); err != nil {
+			return nil, fmt.Errorf("replica %s: %w", spec.ID, err)
+		}
+		if rp.batchReq, err = proxyTemplate(rp.url + "/v1/select/batch"); err != nil {
+			return nil, fmt.Errorf("replica %s: %w", spec.ID, err)
+		}
+		// Optimistic start: a replica is presumed healthy until a probe or
+		// proxy attempt says otherwise, so the gateway serves before the
+		// first health sweep completes.
+		rp.healthy.Store(true)
+		g.replicas = append(g.replicas, rp)
 	}
 	buildinfo.Register(o.Registry)
 	g.route("/v1/select", http.MethodPost, "POST a JSON body: {\"collective\": ..., \"features\": {...}}", g.handleSelect)
@@ -243,7 +296,7 @@ func (g *Gateway) probe(ctx context.Context, rp *replica) {
 		return
 	}
 	rp.mu.Lock()
-	rp.healthy = true
+	rp.healthy.Store(true)
 	rp.lastErr = ""
 	if h.Generation != nil {
 		rp.activeGen = h.Generation.ID
@@ -255,102 +308,148 @@ func (g *Gateway) probe(ctx context.Context, rp *replica) {
 
 func (g *Gateway) markDown(rp *replica, reason string) {
 	rp.mu.Lock()
-	rp.healthy = false
+	rp.healthy.Store(false)
 	rp.lastErr = reason
 	rp.mu.Unlock()
 	g.healthyGauge.Set(0, rp.id)
 }
 
+// markUp is called on every answered attempt; only the one that finds the
+// replica down has anything to change.
 func (g *Gateway) markUp(rp *replica) {
+	if rp.healthy.Load() {
+		return
+	}
 	rp.mu.Lock()
-	rp.healthy = true
+	rp.healthy.Store(true)
 	rp.lastErr = ""
 	rp.mu.Unlock()
 	g.healthyGauge.Set(1, rp.id)
 }
 
-// rank orders replicas for a partition key: rendezvous score descending,
-// healthy replicas before unhealthy ones. The first entry is the key's
-// owner; the tail is the bounded-retry failover order. Ties (identical
-// scores are astronomically unlikely, but determinism matters) break on
-// replica ID.
-func (g *Gateway) rank(key uint64) []*replica {
-	type scored struct {
-		rp      *replica
-		score   uint64
-		healthy bool
+// candidate is one replica as a partition key sees it.
+type candidate struct {
+	rp      *replica
+	score   uint64
+	healthy bool
+}
+
+func (g *Gateway) candidate(rp *replica, key uint64) candidate {
+	return candidate{rp: rp, score: selector.Mix64(key ^ rp.seed), healthy: rp.healthy.Load()}
+}
+
+// before is the routing order: healthy replicas first, then rendezvous
+// score descending. Ties (identical scores are astronomically unlikely, but
+// determinism matters) break on replica ID.
+func (a candidate) before(b candidate) bool {
+	if a.healthy != b.healthy {
+		return a.healthy
 	}
-	rows := make([]scored, len(g.replicas))
-	for i, rp := range g.replicas {
-		rp.mu.Lock()
-		healthy := rp.healthy
-		rp.mu.Unlock()
-		rows[i] = scored{rp: rp, score: selector.Mix64(key ^ rp.seed), healthy: healthy}
+	if a.score != b.score {
+		return a.score > b.score
 	}
-	sort.Slice(rows, func(a, b int) bool {
-		if rows[a].healthy != rows[b].healthy {
-			return rows[a].healthy
+	return a.rp.id < b.rp.id
+}
+
+// owner returns the first replica in routing order for a partition key —
+// where a request goes while nothing fails — without building the order.
+func (g *Gateway) owner(key uint64) *replica {
+	best := g.candidate(g.replicas[0], key)
+	for _, rp := range g.replicas[1:] {
+		if c := g.candidate(rp, key); c.before(best) {
+			best = c
 		}
-		if rows[a].score != rows[b].score {
-			return rows[a].score > rows[b].score
-		}
-		return rows[a].rp.id < rows[b].rp.id
-	})
-	out := make([]*replica, len(rows))
-	for i, row := range rows {
-		out[i] = row.rp
 	}
-	return out
+	return best.rp
+}
+
+// failover returns the bounded-retry order for a key whose owner, tried,
+// just failed: tried first (attempt counts index the order), then every
+// other replica in routing order as of now.
+func (g *Gateway) failover(key uint64, tried *replica) []*replica {
+	rows := make([]candidate, 0, len(g.replicas))
+	for _, rp := range g.replicas {
+		if rp != tried {
+			rows = append(rows, g.candidate(rp, key))
+		}
+	}
+	sort.Slice(rows, func(a, b int) bool { return rows[a].before(rows[b]) })
+	order := make([]*replica, 0, len(g.replicas))
+	order = append(order, tried)
+	for _, row := range rows {
+		order = append(order, row.rp)
+	}
+	return order
 }
 
 // Owner returns the replica ID a request currently routes to — exposed
 // for tests and for the partition-distribution report.
 func (g *Gateway) Owner(collective string, features map[string]float64) string {
-	key := selector.PartitionKey(collective, features, g.cfg.Quantum)
-	return g.rank(key)[0].id
+	return g.owner(selector.PartitionKey(collective, features, g.cfg.Quantum)).id
 }
 
-// proxyResult is one completed proxy attempt.
-type proxyResult struct {
-	status int
-	body   []byte
-}
-
-// tryReplica performs one proxy attempt. Transport errors and 5xx
-// responses are replica failures (retryable, mark down); anything else —
-// including 4xx/422, which are the caller's fault — is a final answer
-// and marks the replica up.
-func (g *Gateway) tryReplica(ctx context.Context, rp *replica, path string, body []byte) (proxyResult, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, rp.url+path, bytes.NewReader(body))
+// proxyTemplate builds the request every proxy attempt to url starts from,
+// so the URL is parsed once, not per attempt.
+func proxyTemplate(url string) (*http.Request, error) {
+	req, err := http.NewRequest(http.MethodPost, url, nil)
 	if err != nil {
-		return proxyResult{}, err
+		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
+	return req, nil
+}
+
+// maxReplyBytes bounds what the gateway reads of one replica reply.
+const maxReplyBytes = 16 << 20
+
+// statusClientClosedRequest is what the gateway records for a request
+// whose caller hung up or ran out of time before a replica answered (the
+// de-facto 499; nobody is left to read it).
+const statusClientClosedRequest = 499
+
+// tryReplica performs one proxy attempt from the template tmpl and appends
+// the reply body to into. Transport errors and 5xx responses are replica
+// failures (retryable, mark down); anything else — including 4xx/422,
+// which are the caller's fault — is a final answer and marks the replica
+// up. An attempt that ends because ctx did is neither: callers check
+// ctx.Err() on error and stop.
+func (g *Gateway) tryReplica(ctx context.Context, rp *replica, tmpl *http.Request, body []byte, into *bytes.Buffer) (status int, err error) {
+	req := tmpl.WithContext(ctx)
+	req.ContentLength = int64(len(body))
+	req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body)), nil }
+	req.Body, _ = req.GetBody()
 	start := time.Now()
 	resp, err := g.client.Do(req)
-	g.proxyLatency.Observe(time.Since(start).Seconds(), rp.id)
+	rp.latency.Observe(time.Since(start).Seconds())
+	if err == nil {
+		if n := resp.ContentLength; n > 0 && n <= maxReplyBytes {
+			into.Grow(int(n) + bytes.MinRead) // ReadFrom wants MinRead spare to see EOF
+		}
+		_, err = into.ReadFrom(io.LimitReader(resp.Body, maxReplyBytes))
+		resp.Body.Close()
+	}
 	if err != nil {
+		if ctx.Err() != nil {
+			g.proxied.Inc(rp.id, "canceled")
+			return 0, ctx.Err()
+		}
 		g.proxied.Inc(rp.id, "error")
 		g.markDown(rp, err.Error())
 		rp.count(false, "", 0)
-		return proxyResult{}, err
+		return 0, err
 	}
-	defer resp.Body.Close()
-	respBody, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-	if err != nil {
-		g.proxied.Inc(rp.id, "error")
-		g.markDown(rp, err.Error())
-		rp.count(false, "", 0)
-		return proxyResult{}, err
+	if resp.StatusCode == http.StatusOK {
+		rp.ok200.Inc()
+	} else {
+		g.proxied.Inc(rp.id, strconv.Itoa(resp.StatusCode))
 	}
-	g.proxied.Inc(rp.id, strconv.Itoa(resp.StatusCode))
 	if resp.StatusCode >= 500 {
-		g.markDown(rp, fmt.Sprintf("HTTP %d from %s", resp.StatusCode, path))
+		g.markDown(rp, fmt.Sprintf("HTTP %d from %s", resp.StatusCode, tmpl.URL.Path))
 		rp.count(false, "", 0)
-		return proxyResult{}, fmt.Errorf("replica %s: HTTP %d", rp.id, resp.StatusCode)
+		return 0, fmt.Errorf("replica %s: HTTP %d", rp.id, resp.StatusCode)
 	}
 	g.markUp(rp)
-	return proxyResult{status: resp.StatusCode, body: respBody}, nil
+	return resp.StatusCode, nil
 }
 
 // count updates one replica's routing ledger: a request landed (ok or
@@ -368,12 +467,73 @@ func (rp *replica) count(ok bool, collective string, items uint64) {
 	}
 }
 
+// scratch is the working memory of one select call, pooled across calls.
+type scratch struct {
+	body    bytes.Buffer // the client's request
+	replies bytes.Buffer // replica replies, back to back; spans index into it
+	sub     []byte       // the sub-batch body being built
+	out     []byte       // the merged batch reply
+	queue   []pendingItem
+	requeue []pendingItem
+	members []int
+	spans   []resultSpan
+	results []itemResult
+}
+
+// maxPooledScratch caps what a scratch may hold when it goes back to the
+// pool, so one maximal batch does not pin megabytes per pool slot.
+const maxPooledScratch = 1 << 20
+
+var scratches = sync.Pool{New: func() any { return new(scratch) }}
+
+func getScratch() *scratch { return scratches.Get().(*scratch) }
+
+func putScratch(sc *scratch) {
+	if sc.body.Cap()+sc.replies.Cap()+cap(sc.sub)+cap(sc.out) > maxPooledScratch {
+		return
+	}
+	sc.body.Reset()
+	sc.replies.Reset()
+	scratches.Put(sc)
+}
+
+// subBatch collects the queued items whose next attempt goes to rp: their
+// indexes in queue, and the request that carries them — the client's own
+// text for each item inside a fresh envelope.
+func (sc *scratch) subBatch(queue []pendingItem, rp *replica, raw [][]byte) (members []int, body []byte) {
+	members, body = sc.members[:0], append(sc.sub[:0], `{"requests":[`...)
+	for qi := range queue {
+		if queue[qi].target != rp {
+			continue
+		}
+		if len(members) > 0 {
+			body = append(body, ',')
+		}
+		body = append(body, raw[queue[qi].idx]...)
+		members = append(members, qi)
+	}
+	body = append(body, "]}"...)
+	sc.members, sc.sub = members, body
+	return members, body
+}
+
+// readBody drains the size-capped request body into sc.body.
+func (sc *scratch) readBody(w http.ResponseWriter, r *http.Request, limit int64) error {
+	if n := r.ContentLength; n > 0 && n <= limit {
+		sc.body.Grow(int(n) + bytes.MinRead)
+	}
+	_, err := sc.body.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
+	return err
+}
+
 func (g *Gateway) handleSelect(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err != nil {
+	sc := getScratch()
+	defer putScratch(sc)
+	if err := sc.readBody(w, r, 1<<20); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
+	body := sc.body.Bytes()
 	req, err := selector.DecodeSelect(body)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
@@ -384,68 +544,67 @@ func (g *Gateway) handleSelect(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := selector.PartitionKey(req.Collective, req.Features, g.cfg.Quantum)
-	order := g.rank(key)
-	var lastErr error
-	for i, rp := range order {
-		if i >= g.cfg.MaxAttempts {
-			break
+	rp := g.owner(key)
+	var order []*replica // built when the owner fails
+	for attempt := 1; ; attempt++ {
+		status, err := g.tryReplica(r.Context(), rp, rp.selectReq, body, &sc.replies)
+		if err == nil {
+			if status == http.StatusOK {
+				rp.count(true, req.Collective, 1)
+			} else {
+				rp.count(true, "", 0)
+			}
+			w.Header().Set("Content-Type", "application/json")
+			w.Header().Set("X-Pmlmpi-Replica", rp.id)
+			w.WriteHeader(status)
+			w.Write(sc.replies.Bytes())
+			return
 		}
-		if i > 0 {
-			g.retries.Inc(order[i-1].id)
+		if r.Context().Err() != nil {
+			writeError(w, statusClientClosedRequest, "client closed request: "+err.Error())
+			return
 		}
-		res, err := g.tryReplica(r.Context(), rp, "/v1/select", body)
-		if err != nil {
-			lastErr = err
-			continue
+		if attempt >= g.cfg.MaxAttempts {
+			writeError(w, http.StatusBadGateway, "no replica could answer: "+err.Error())
+			return
 		}
-		if res.status == http.StatusOK {
-			rp.count(true, req.Collective, 1)
-		} else {
-			rp.count(true, "", 0)
+		if order == nil {
+			order = g.failover(key, rp)
 		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("X-Pmlmpi-Replica", rp.id)
-		w.WriteHeader(res.status)
-		w.Write(res.body)
-		return
+		g.retries.Inc(rp.id)
+		sc.replies.Reset() // a failed attempt may have left half a reply
+		rp = order[attempt]
 	}
-	writeError(w, http.StatusBadGateway, "no replica could answer: "+errString(lastErr))
 }
 
-// batchItem is one positional entry of a replica's batch response. The
-// decision passes through opaquely; only the error field is inspected.
-// The gateway annotates each answered item with the replica that served
-// it — extra over the single-server schema, ignored by clients that
-// don't know it.
-type batchItem struct {
-	Decision json.RawMessage `json:"decision,omitempty"`
-	Error    string          `json:"error,omitempty"`
-	Replica  string          `json:"replica,omitempty"`
-}
-
-// pendingItem tracks one batch member through routing rounds. The
-// failover order is pinned at enqueue time (like the single-select
-// path), so attempts index straight into it.
+// pendingItem tracks one batch member through routing rounds.
 type pendingItem struct {
-	idx      int
-	req      selector.BatchRequest
-	order    []*replica
+	idx      int      // position in the client's batch
+	key      uint64   // partition key
+	target   *replica // where the next attempt goes
 	attempts int
+	// order is the failover order, pinned when the item's owner fails (like
+	// the single-select path); attempts indexes into it.
+	order []*replica
 }
 
 // handleSelectBatch splits a batch along partition boundaries: each item
 // routes to its own key's owner, sub-batches fly per replica, and the
 // positional envelope is reassembled. Items on a failed replica re-route
 // (bounded per-item attempts) in later rounds without failing the call.
+// The gateway decodes items only to route them: what a replica receives is
+// the client's bytes for its items, and what the client receives is the
+// replicas' bytes for its results.
 func (g *Gateway) handleSelectBatch(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 8<<20))
-	if err != nil {
+	sc := getScratch()
+	defer putScratch(sc)
+	if err := sc.readBody(w, r, 8<<20); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
 	// The same decoder as the replicas, so both tiers accept and reject
 	// exactly the same bodies.
-	reqs, err := selector.DecodeBatch(body)
+	reqs, raw, err := selector.DecodeBatchRaw(sc.body.Bytes())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
@@ -460,87 +619,76 @@ func (g *Gateway) handleSelectBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	results := make([]batchItem, len(reqs))
-	queue := make([]pendingItem, 0, len(reqs))
-	for i, item := range reqs {
-		queue = append(queue, pendingItem{
-			idx: i, req: item,
-			order: g.rank(selector.PartitionKey(item.Collective, item.Features, g.cfg.Quantum)),
-		})
+	sc.results = append(sc.results[:0], make([]itemResult, len(reqs))...)
+	results := sc.results
+	queue, requeue := sc.queue[:0], sc.requeue[:0]
+	for i := range reqs {
+		key := selector.PartitionKey(reqs[i].Collective, reqs[i].Features, g.cfg.Quantum)
+		queue = append(queue, pendingItem{idx: i, key: key, target: g.owner(key)})
 	}
 	for len(queue) > 0 {
-		// Group this round's items by each one's next untried replica.
-		// Every queued item has attempts < MaxAttempts <= len(order).
-		groups := make(map[*replica][]pendingItem)
-		for _, it := range queue {
-			groups[it.order[it.attempts]] = append(groups[it.order[it.attempts]], it)
-		}
-		queue = queue[:0]
-		for rp, items := range groups {
-			sub := make([]selector.BatchRequest, len(items))
-			for i, it := range items {
-				sub[i] = it.req
+		// One sub-batch per replica that is some queued item's next target.
+		for _, rp := range g.replicas {
+			members, sub := sc.subBatch(queue, rp, raw)
+			if len(members) == 0 {
+				continue
 			}
-			body, _ := json.Marshal(map[string]any{"requests": sub})
-			res, err := g.tryReplica(r.Context(), rp, "/v1/select/batch", body)
-			if err == nil && res.status == http.StatusOK {
-				var parsed struct {
-					Results []batchItem `json:"results"`
-				}
-				if jerr := json.Unmarshal(res.body, &parsed); jerr != nil || len(parsed.Results) != len(items) {
-					err = fmt.Errorf("replica %s: unparseable batch response", rp.id)
-				} else {
-					for i, it := range items {
-						results[it.idx] = parsed.Results[i]
-						results[it.idx].Replica = rp.id
-						if parsed.Results[i].Error == "" {
-							rp.countCollective(it.req.Collective)
-						}
-					}
-					rp.count(true, "", 0)
-					continue
-				}
-			} else if err == nil {
+			from := sc.replies.Len()
+			status, err := g.tryReplica(r.Context(), rp, rp.batchReq, sub, &sc.replies)
+			switch {
+			case err != nil && r.Context().Err() != nil:
+				writeError(w, statusClientClosedRequest, "client closed request: "+err.Error())
+				return
+			case err != nil:
+			case status != http.StatusOK:
 				// Non-200, non-5xx on a whole sub-batch (e.g. a 400 the
 				// gateway's own validation should have caught): surface
 				// it per item rather than retrying a doomed request.
-				for _, it := range items {
-					results[it.idx] = batchItem{Error: fmt.Sprintf("replica %s: HTTP %d", rp.id, res.status)}
+				for _, qi := range members {
+					results[queue[qi].idx] = itemResult{err: fmt.Sprintf("replica %s: HTTP %d", rp.id, status)}
 				}
 				rp.count(true, "", 0)
 				continue
+			default:
+				var ok bool
+				sc.spans, ok = scanBatchReply(sc.replies.Bytes(), from, sc.spans[:0])
+				if ok && len(sc.spans) == len(members) {
+					rp.mu.Lock()
+					rp.requests++
+					for j, qi := range members {
+						idx := queue[qi].idx
+						results[idx] = itemResult{by: rp, span: sc.spans[j]}
+						if !sc.spans[j].failed {
+							rp.selections[reqs[idx].Collective]++
+						}
+					}
+					rp.mu.Unlock()
+					continue
+				}
+				err = fmt.Errorf("replica %s: unparseable batch response", rp.id)
 			}
 			// Replica failure: re-queue survivors for the next round.
 			g.retries.Inc(rp.id)
-			for _, it := range items {
+			for _, qi := range members {
+				it := queue[qi]
 				it.attempts++
 				if it.attempts >= g.cfg.MaxAttempts {
-					results[it.idx] = batchItem{Error: "no replica could answer: " + err.Error()}
+					results[it.idx] = itemResult{err: "no replica could answer: " + err.Error()}
 					continue
 				}
-				queue = append(queue, it)
+				if it.order == nil {
+					it.order = g.failover(it.key, rp)
+				}
+				it.target = it.order[it.attempts]
+				requeue = append(requeue, it)
 			}
 		}
+		queue, requeue = requeue, queue[:0]
 	}
+	sc.queue, sc.requeue = queue, requeue
 
-	resp := struct {
-		Count   int         `json:"count"`
-		Errors  int         `json:"errors"`
-		Results []batchItem `json:"results"`
-	}{Count: len(results), Results: results}
-	for _, res := range results {
-		if res.Error != "" {
-			resp.Errors++
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// countCollective tallies one successful batch item.
-func (rp *replica) countCollective(collective string) {
-	rp.mu.Lock()
-	rp.selections[collective]++
-	rp.mu.Unlock()
+	sc.out = appendBatchReply(sc.out[:0], results, sc.replies.Bytes())
+	writeBody(w, http.StatusOK, sc.out)
 }
 
 // ReplicaInfo is one row of /debug/replicas.
@@ -564,7 +712,7 @@ func (g *Gateway) Snapshot() []ReplicaInfo {
 		info := ReplicaInfo{
 			ID:               rp.id,
 			URL:              rp.url,
-			Healthy:          rp.healthy,
+			Healthy:          rp.healthy.Load(),
 			LastError:        rp.lastErr,
 			ActiveGeneration: rp.activeGen,
 			ActiveHash:       rp.activeHash,
@@ -666,6 +814,7 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // route registers one method-enforced, instrumented endpoint (same
 // contract as pkg/admin and pkg/controlplane).
 func (g *Gateway) route(path, method, usage string, h http.HandlerFunc) {
+	ok200 := g.httpRequests.Bind(path, "200") // the series a healthy route hits on every request
 	g.mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
 		sr := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
 		if r.Method != method && !(method == http.MethodGet && r.Method == http.MethodHead) {
@@ -674,7 +823,11 @@ func (g *Gateway) route(path, method, usage string, h http.HandlerFunc) {
 		} else {
 			h(sr, r)
 		}
-		g.httpRequests.Inc(path, strconv.Itoa(sr.code))
+		if sr.code == http.StatusOK {
+			ok200.Inc()
+		} else {
+			g.httpRequests.Inc(path, strconv.Itoa(sr.code))
+		}
 	})
 }
 
@@ -688,19 +841,20 @@ func (sr *statusRecorder) WriteHeader(code int) {
 	sr.ResponseWriter.WriteHeader(code)
 }
 
-func errString(err error) string {
-	if err == nil {
-		return "no replicas configured"
-	}
-	return err.Error()
-}
-
-// writeJSON renders v as one line of compact JSON; replica payloads
-// embedded as json.RawMessage pass through as the replica wrote them.
+// writeJSON renders v as one line of compact JSON.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(v)
+}
+
+// writeBody sends an already-encoded JSON document in one Write.
+func writeBody(w http.ResponseWriter, code int, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(code)
+	w.Write(body)
 }
 
 func writeError(w http.ResponseWriter, code int, msg string) {

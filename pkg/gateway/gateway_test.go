@@ -5,10 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/pml-mpi/pmlmpi/pkg/obs"
@@ -360,5 +363,179 @@ func TestActiveProbeRevivesRecoveredReplica(t *testing.T) {
 	g.CheckNow(context.Background())
 	if !g.Snapshot()[0].Healthy {
 		t.Fatal("active probe did not revive the replica")
+	}
+}
+
+// stalledReplica accepts select calls and holds them until the caller goes
+// away, announcing each arrival: a healthy replica that is merely slower
+// than its client's patience.
+func stalledReplica(t *testing.T, id string, arrived chan<- string) *fakeReplica {
+	t.Helper()
+	f := &fakeReplica{id: id}
+	mux := http.NewServeMux()
+	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, `{"status":"ok"}`)
+	})
+	stall := func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body) // the server watches for a hang-up once the body is read
+		arrived <- id
+		<-r.Context().Done()
+	}
+	mux.HandleFunc("/v1/select", stall)
+	mux.HandleFunc("/v1/select/batch", stall)
+	f.ts = httptest.NewServer(mux)
+	t.Cleanup(f.ts.Close)
+	return f
+}
+
+// TestClientHangUpDoesNotMarkReplicasDown: a caller that gives up while a
+// replica is still working says nothing about the replica. Before the fix
+// the canceled attempt marked the owner down, the retry loop walked the
+// failover order failing instantly for the same reason, and one impatient
+// client left the whole fleet unhealthy and the gateway's /healthz at 503
+// until the next active probe.
+func TestClientHangUpDoesNotMarkReplicasDown(t *testing.T) {
+	arrived := make(chan string, 8) // room for every attempt the broken loop would make
+	fakes := []*fakeReplica{stalledReplica(t, "a", arrived), stalledReplica(t, "b", arrived)}
+	g := newTestGateway(t, fakes)
+
+	single, _ := json.Marshal(map[string]any{"collective": "allreduce", "features": testFeatures(1)})
+	var items []map[string]any
+	for i := 0; i < 8; i++ {
+		items = append(items, map[string]any{"collective": "allreduce", "features": testFeatures(i)})
+	}
+	batch, _ := json.Marshal(map[string]any{"requests": items})
+
+	for path, body := range map[string][]byte{"/v1/select": single, "/v1/select/batch": batch} {
+		ctx, hangUp := context.WithCancel(context.Background())
+		done := make(chan int)
+		go func() {
+			rec := httptest.NewRecorder()
+			g.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)).WithContext(ctx))
+			done <- rec.Code
+		}()
+		<-arrived // the first attempt is in a replica's hands
+		hangUp()
+		if code := <-done; code != statusClientClosedRequest {
+			t.Errorf("%s: gateway recorded status %d for a caller that hung up, want %d", path, code, statusClientClosedRequest)
+		}
+		select {
+		case id := <-arrived:
+			t.Errorf("%s: gateway tried replica %s after its caller hung up", path, id)
+		default:
+		}
+		for _, info := range g.Snapshot() {
+			if !info.Healthy || info.Errors != 0 {
+				t.Errorf("%s: replica %s healthy=%v errors=%d after a client hang-up, want healthy and 0",
+					path, info.ID, info.Healthy, info.Errors)
+			}
+			if n := g.retries.Value(info.ID); n != 0 {
+				t.Errorf("%s: pmlmpi_gw_retries_total{replica=%q} = %v after a client hang-up, want 0", path, info.ID, n)
+			}
+		}
+		rec := httptest.NewRecorder()
+		g.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+		if rec.Code != http.StatusOK {
+			t.Errorf("%s: gateway /healthz = %d after a client hang-up, want 200: %s", path, rec.Code, rec.Body)
+		}
+	}
+}
+
+// TestProxyReusesConnectionsUnderConcurrency: with more than two callers
+// per replica, net/http's default transport (two idle connections per host)
+// dials a fresh connection for most requests and closes it afterwards. The
+// gateway's own transport keeps one per caller, so the number of
+// connections a replica ever sees follows the caller count, not the request
+// count.
+func TestProxyReusesConnectionsUnderConcurrency(t *testing.T) {
+	const callers, perCaller = 32, 40
+	var opened atomic.Int64
+	f := &fakeReplica{id: "a"}
+	f.ts = httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		fmt.Fprint(w, `{"algorithm":"echo"}`)
+	}))
+	f.ts.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+		if state == http.StateNew {
+			opened.Add(1)
+		}
+	}
+	f.ts.Start()
+	t.Cleanup(f.ts.Close)
+	g := newTestGateway(t, []*fakeReplica{f})
+
+	body, _ := json.Marshal(map[string]any{"collective": "allreduce", "features": testFeatures(3)})
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perCaller; i++ {
+				rec := httptest.NewRecorder()
+				g.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/select", bytes.NewReader(body)))
+				if rec.Code != http.StatusOK {
+					t.Errorf("select through the gateway: HTTP %d: %s", rec.Code, rec.Body)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	// A connection returns to the idle pool a moment after its caller has the
+	// whole reply, so a caller's next request can find the pool empty and dial
+	// once more: allow each caller that, and no more. (Without reuse this
+	// reads in the hundreds: nearly one connection per request.)
+	if n := opened.Load(); n > 2*callers {
+		t.Errorf("replica saw %d connections for %d requests from %d callers, want at most %d",
+			n, callers*perCaller, callers, 2*callers)
+	}
+}
+
+// TestBatchRetriesAReplyItCannotSplice: a 200 whose body is not a batch
+// reply of the right length (here: cut short, then one result too few) is a
+// replica failure — the sub-batch's items re-route and the client sees no
+// error — but not a reason to mark the replica down.
+func TestBatchRetriesAReplyItCannotSplice(t *testing.T) {
+	for _, reply := range []string{
+		`{"count":24,"errors":0,"results":[{"decision":{"served_by":"broken"}},`,
+		`{"count":1,"errors":0,"results":[{"decision":{"served_by":"broken"}}]}`,
+	} {
+		broken := &fakeReplica{id: "broken"}
+		broken.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			io.Copy(io.Discard, r.Body)
+			fmt.Fprint(w, reply)
+		}))
+		t.Cleanup(broken.ts.Close)
+		good := newFakeReplica(t, "good")
+		g := newTestGateway(t, []*fakeReplica{broken, good})
+
+		var reqs []map[string]any
+		for i := 0; i < 24; i++ {
+			reqs = append(reqs, map[string]any{"collective": "bcast", "features": testFeatures(i)})
+		}
+		body, _ := json.Marshal(map[string]any{"requests": reqs})
+		rec := httptest.NewRecorder()
+		g.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/select/batch", bytes.NewReader(body)))
+		var parsed struct {
+			Count, Errors int
+			Results       []struct{ Replica, Error string }
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &parsed); err != nil || rec.Code != http.StatusOK {
+			t.Fatalf("batch reply: HTTP %d, %v: %s", rec.Code, err, rec.Body)
+		}
+		if parsed.Count != len(reqs) || parsed.Errors != 0 {
+			t.Fatalf("count=%d errors=%d, want %d/0: %s", parsed.Count, parsed.Errors, len(reqs), rec.Body)
+		}
+		for i, res := range parsed.Results {
+			if res.Replica != "good" {
+				t.Fatalf("item %d answered by %q, want the replica whose reply could be read", i, res.Replica)
+			}
+		}
+		if n := g.retries.Value("broken"); n != 1 {
+			t.Errorf("pmlmpi_gw_retries_total{replica=\"broken\"} = %v, want 1", n)
+		}
+		if info := g.Snapshot()[0]; !info.Healthy {
+			t.Errorf("replica with an unreadable reply was marked down: %+v", info)
+		}
 	}
 }

@@ -3,7 +3,6 @@ package selector
 import (
 	"encoding/binary"
 	"math"
-	"sort"
 )
 
 // featureKey derives the decision-cache key: the model generation id (so a
@@ -47,12 +46,21 @@ func PartitionKey(collective string, features map[string]float64, quantum float6
 	if quantum <= 0 {
 		quantum = DefaultCacheQuantum
 	}
-	names := make([]string, 0, len(features))
-	for name := range features {
-		names = append(names, name)
+	// Requests carry the same feature names call after call: when the map has
+	// exactly the keys of the cached sorted list, walk that list instead of
+	// collecting and sorting them again.
+	if cached := featureOrder.Load(); cached != nil && len(*cached) == len(features) {
+		if key, ok := partitionKeyInOrder(collective, features, *cached, quantum); ok {
+			return key
+		}
 	}
-	sort.Strings(names)
+	key, _ := partitionKeyInOrder(collective, features, sortedFeatureNames(features), quantum)
+	return key
+}
 
+// partitionKeyInOrder folds the features in the order of names, which has
+// len(features) entries; ok is false when one of them is not a key of the map.
+func partitionKeyInOrder(collective string, features map[string]float64, names []string, quantum float64) (key uint64, ok bool) {
 	const (
 		fnvOffset = 14695981039346656037
 		fnvPrime  = 1099511628211
@@ -64,11 +72,14 @@ func PartitionKey(collective string, features map[string]float64, quantum float6
 	h = (h ^ 0) * fnvPrime // NUL separator, as in featureKey
 	var tmp [8]byte
 	for _, name := range names {
+		v, present := features[name]
+		if !present {
+			return 0, false
+		}
 		for i := 0; i < len(name); i++ {
 			h = (h ^ uint64(name[i])) * fnvPrime
 		}
 		h = (h ^ 0) * fnvPrime
-		v := features[name]
 		var q uint64
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			q = math.Float64bits(v)
@@ -80,7 +91,7 @@ func PartitionKey(collective string, features map[string]float64, quantum float6
 			h = (h ^ uint64(b)) * fnvPrime
 		}
 	}
-	return Mix64(h)
+	return Mix64(h), true
 }
 
 // Mix64 is the splitmix64 finalizer: a cheap, high-quality 64-bit bit

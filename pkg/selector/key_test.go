@@ -2,6 +2,9 @@ package selector
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -58,6 +61,77 @@ func TestPartitionKeyFeatureSetSensitivity(t *testing.T) {
 	nan := map[string]float64{"x": nanValue()}
 	if PartitionKey("allreduce", nan, 1) != PartitionKey("allreduce", nan, 1) {
 		t.Fatal("NaN feature did not key deterministically")
+	}
+}
+
+// partitionKeyBySorting is PartitionKey as it was before it reused the wire
+// codec's cached key order: collect the names, sort them, fold.
+func partitionKeyBySorting(collective string, features map[string]float64, quantum float64) uint64 {
+	names := make([]string, 0, len(features))
+	for name := range features {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	key, _ := partitionKeyInOrder(collective, features, names, quantum)
+	return key
+}
+
+// TestPartitionKeyIgnoresMapOrderAndCacheState: the key is a function of
+// the request alone. Whatever key list the order cache holds — the same
+// names, a permutation-equal rebuild, another set of the same size, a
+// subset, nothing — and however the map was built, PartitionKey equals the
+// sort-every-time reference, so no key moves to another replica.
+func TestPartitionKeyIgnoresMapOrderAndCacheState(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	pool := []string{"log2_msg_size", "ppn", "num_nodes", "mem_bw_gbs", "thread_count", "l3_cache_mib",
+		"core_count", "sockets", "numa_nodes", "pcie_lanes", "pcie_gen", "link_speed_gbps", "link_width",
+		"max_clock_ghz", "µ", "a\x00b", ""}
+	draw := func() map[string]float64 {
+		m := make(map[string]float64)
+		for _, i := range rng.Perm(len(pool))[:rng.Intn(len(pool)+1)] {
+			m[pool[i]] = math.Round(rng.NormFloat64()*1e4) / 16
+		}
+		return m
+	}
+	prev := draw()
+	for i := 0; i < 5000; i++ {
+		m := prev
+		switch rng.Intn(4) {
+		case 0: // a new feature set: the cached order is now someone else's
+			m = draw()
+		case 1: // the same names, inserted in another order, other values
+			m = make(map[string]float64, len(prev))
+			names := make([]string, 0, len(prev))
+			for k := range prev {
+				names = append(names, k)
+			}
+			rng.Shuffle(len(names), func(a, b int) { names[a], names[b] = names[b], names[a] })
+			for _, k := range names {
+				m[k] = float64(rng.Intn(1 << 20))
+			}
+		case 2: // same size, one name swapped: the cached list matches all but one key
+			m = make(map[string]float64, len(prev))
+			for k, v := range prev {
+				m[k] = v
+			}
+			for k := range m {
+				delete(m, k)
+				m[k+"'"] = 1
+				break
+			}
+		case 3:
+			featureOrder.Store(nil)
+		}
+		quantum := []float64{0, DefaultCacheQuantum, 1, 0.5}[rng.Intn(4)]
+		effective := quantum
+		if effective <= 0 {
+			effective = DefaultCacheQuantum
+		}
+		want := partitionKeyBySorting("allgather", m, effective)
+		if got := PartitionKey("allgather", m, quantum); got != want {
+			t.Fatalf("step %d: PartitionKey(%v) = %#x, the sorting reference gives %#x", i, m, got, want)
+		}
+		prev = m
 	}
 }
 

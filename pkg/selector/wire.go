@@ -36,7 +36,7 @@ func DecodeSelect(body []byte) (BatchRequest, error) {
 func DecodeBatch(body []byte) ([]BatchRequest, error) {
 	sc := getScanner(body)
 	defer sc.release()
-	if reqs, ok := sc.batch(); ok {
+	if reqs, ok := sc.batch(nil); ok {
 		return reqs, nil
 	}
 	var env batchEnvelope
@@ -44,9 +44,66 @@ func DecodeBatch(body []byte) ([]BatchRequest, error) {
 	return env.Requests, err
 }
 
+// DecodeBatchRaw is DecodeBatch for a forwarder: beside each decoded item it
+// returns the item's text as the client wrote it, so a proxy can route on
+// the value and pass the bytes on untouched. On the shapes the scanner takes,
+// raw[i] is body's own span of item i; otherwise encoding/json finds the
+// items on the same bytes and raw[i] is its copy. Either way a server that
+// decodes raw[i] inside a fresh envelope reads reqs[i].
+func DecodeBatchRaw(body []byte) (reqs []BatchRequest, raw [][]byte, err error) {
+	sc := getScanner(body)
+	defer sc.release()
+	if reqs, ok := sc.batch(&raw); ok {
+		return reqs, raw, nil
+	}
+	var env batchEnvelope
+	if err := json.Unmarshal(body, &env); err != nil {
+		return env.Requests, nil, err
+	}
+	var text rawEnvelope
+	if err := json.Unmarshal(body, &text); err != nil {
+		return nil, nil, err // unreachable: the same body just decoded
+	}
+	raw = raw[:0] // the scanner may have collected some spans before it gave up
+	if text.Requests.times == 1 {
+		for _, item := range text.Requests.items {
+			raw = append(raw, item)
+		}
+		return env.Requests, raw, nil
+	}
+	// The body names "requests" more than once (or never), and encoding/json
+	// decodes a later array into the items of the earlier one, field by
+	// field: no span of the body reads as that item, so write one.
+	for i := range env.Requests {
+		item, err := json.Marshal(env.Requests[i])
+		if err != nil {
+			return nil, nil, err
+		}
+		raw = append(raw, item)
+	}
+	return env.Requests, raw, nil
+}
+
 // batchEnvelope is the /v1/select/batch body as encoding/json reads it.
 type batchEnvelope struct {
 	Requests []BatchRequest `json:"requests"`
+}
+
+// rawEnvelope reads the same body for the text of its items.
+type rawEnvelope struct {
+	Requests rawItems `json:"requests"`
+}
+
+// rawItems is the value of a "requests" key, and a count of how many times
+// the body gave one.
+type rawItems struct {
+	items []json.RawMessage
+	times int
+}
+
+func (r *rawItems) UnmarshalJSON(b []byte) error {
+	r.times++
+	return json.Unmarshal(b, &r.items)
 }
 
 // scanner is the fast path of the decoder. It accepts only the canonical
@@ -276,8 +333,9 @@ func (sc *scanner) item(req *BatchRequest) bool {
 	}
 }
 
-// batch consumes the {"requests": [item, ...]} envelope.
-func (sc *scanner) batch() ([]BatchRequest, bool) {
+// batch consumes the {"requests": [item, ...]} envelope. With raw set, it
+// also collects each item's span of the body.
+func (sc *scanner) batch(raw *[][]byte) ([]BatchRequest, bool) {
 	if !sc.lit('{') {
 		return nil, false
 	}
@@ -289,10 +347,15 @@ func (sc *scanner) batch() ([]BatchRequest, bool) {
 	if !sc.lit(']') {
 		var req BatchRequest
 		for {
+			sc.skipSpace()
+			start := sc.i
 			if !sc.item(&req) {
 				return nil, false
 			}
 			reqs = append(reqs, req)
+			if raw != nil {
+				*raw = append(*raw, sc.b[start:sc.i])
+			}
 			if sc.lit(',') {
 				continue
 			}
@@ -399,10 +462,23 @@ func appendDecision(b []byte, d *Decision) ([]byte, bool) {
 	return append(b, '}'), true
 }
 
-// featureOrder caches the sorted key list of the last feature map rendered.
-// Clients send the same feature names request after request, so checking
-// that a map has exactly those keys replaces collecting and sorting them.
+// featureOrder caches the sorted key list of the last feature map rendered
+// or hashed (PartitionKey walks maps in the same order). Clients send the
+// same feature names request after request, so checking that a map has
+// exactly those keys replaces collecting and sorting them.
 var featureOrder atomic.Pointer[[]string]
+
+// sortedFeatureNames collects and sorts m's keys, and leaves the list in
+// featureOrder for the next map with the same keys.
+func sortedFeatureNames(m map[string]float64) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	featureOrder.Store(&keys)
+	return keys
+}
 
 // appendFeatures renders the feature map with sorted keys, as encoding/json
 // orders map keys.
@@ -415,13 +491,7 @@ func appendFeatures(b []byte, m map[string]float64) ([]byte, bool) {
 			return out, true
 		}
 	}
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	featureOrder.Store(&keys)
-	return appendFeaturesInOrder(b, m, keys)
+	return appendFeaturesInOrder(b, m, sortedFeatureNames(m))
 }
 
 // appendFeaturesInOrder renders m's entries in the order of keys, which has

@@ -73,6 +73,48 @@ func checkDecodeAgainstStdlib(t *testing.T, body []byte) {
 	}
 }
 
+// checkDecodeRawAgainstStdlib holds DecodeBatchRaw to DecodeBatch (which
+// checkDecodeAgainstStdlib holds to json.Unmarshal), and its raw items to
+// the forwarder's invariant: a fresh envelope around them decodes, by
+// encoding/json, to the same requests.
+func checkDecodeRawAgainstStdlib(t *testing.T, body []byte) {
+	t.Helper()
+	want, wantErr := DecodeBatch(body)
+	got, raw, gotErr := DecodeBatchRaw(body)
+	if errText(gotErr) != errText(wantErr) {
+		t.Fatalf("DecodeBatchRaw(%q) error = %v, DecodeBatch says %v", body, gotErr, wantErr)
+	}
+	if wantErr != nil {
+		return
+	}
+	if len(got) != len(want) || len(raw) != len(want) {
+		t.Fatalf("DecodeBatchRaw(%q) = %d items, %d raw; DecodeBatch gives %d", body, len(got), len(raw), len(want))
+	}
+	forwarded := []byte(`{"requests":[`)
+	for i := range got {
+		if !sameRequest(got[i], want[i]) {
+			t.Fatalf("DecodeBatchRaw(%q)[%d] = %+v, DecodeBatch gives %+v", body, i, got[i], want[i])
+		}
+		if i > 0 {
+			forwarded = append(forwarded, ',')
+		}
+		forwarded = append(forwarded, raw[i]...)
+	}
+	forwarded = append(forwarded, "]}"...)
+	var env batchEnvelope
+	if err := json.Unmarshal(forwarded, &env); err != nil {
+		t.Fatalf("DecodeBatchRaw(%q): forwarded body %q does not decode: %v", body, forwarded, err)
+	}
+	if len(env.Requests) != len(want) {
+		t.Fatalf("DecodeBatchRaw(%q): forwarded body %q has %d items, want %d", body, forwarded, len(env.Requests), len(want))
+	}
+	for i := range want {
+		if !sameRequest(env.Requests[i], want[i]) {
+			t.Fatalf("DecodeBatchRaw(%q): forwarded item %d %q decodes to %+v, want %+v", body, i, raw[i], env.Requests[i], want[i])
+		}
+	}
+}
+
 // decodeCorpus seeds the differential test and the fuzzer: canonical
 // bodies the scanner takes, and one body for every reason it hands over to
 // encoding/json.
@@ -130,11 +172,17 @@ var decodeCorpus = []string{
 	`{"collective":"a",}`, `{,"collective":"a"}`, `{"collective" "a"}`,
 	`{"features":{"k":1,}}`, `{"features":{"k" 1}}`, `{"requests":[{"collective":"a"},]}`,
 	`{"requests":[{"collective":"a"} {"collective":"b"}]}`,
+	// the envelope key more than once: encoding/json merges the arrays item by item
+	`{"requests":[{"collective":"a","features":{"k":1}}],"requests":[{"features":{"j":2}}]}`,
+	`{"requests":[{"collective":"a"},{"collective":"b"}],"Requests":[{"collective":"c"}],"requests":[null,{"features":{}}]}`,
+	`{"requests":[{"collective":"a"}],"requests":null}`,
+	`{"requests":null,"requests":[{"collective":"a","x":[1,{"y":"z"}]}, null ]}`,
 }
 
 func TestDecodeMatchesStdlib(t *testing.T) {
 	for _, body := range decodeCorpus {
 		checkDecodeAgainstStdlib(t, []byte(body))
+		checkDecodeRawAgainstStdlib(t, []byte(body))
 	}
 }
 
@@ -144,6 +192,7 @@ func FuzzDecodeSelectVsStdlib(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		checkDecodeAgainstStdlib(t, body)
+		checkDecodeRawAgainstStdlib(t, body)
 	})
 }
 
@@ -159,10 +208,15 @@ func TestDecodeFastPathTakesCanonicalBodies(t *testing.T) {
 	}
 	sc.release()
 	sc = getScanner([]byte(`{"requests":[` + item + `, ` + item + `]}`))
-	if reqs, ok := sc.batch(); !ok || len(reqs) != 2 {
+	var raw [][]byte
+	if reqs, ok := sc.batch(&raw); !ok || len(reqs) != 2 {
 		t.Errorf("scanner rejected a canonical batch body (ok=%v, %d items)", ok, len(reqs))
 	}
 	sc.release()
+	// The spans are the items exactly: no leading space, nothing after the brace.
+	if len(raw) != 2 || string(raw[0]) != item || string(raw[1]) != item {
+		t.Errorf("scanner's item spans = %q, want the item twice", raw)
+	}
 }
 
 func TestDecodedStringsDoNotAliasTheBody(t *testing.T) {
