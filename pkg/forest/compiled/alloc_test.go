@@ -50,7 +50,7 @@ func TestPredictBatchZeroAllocSteadyState(t *testing.T) {
 		t.Skip("allocation counts are unreliable under -race")
 	}
 	cf, x := allocFixture(t)
-	xs := make([][]float64, 32) // well below DefaultBatchThreshold
+	xs := make([][]float64, 32)
 	for i := range xs {
 		xs[i] = x
 	}

@@ -2,10 +2,12 @@ package compiled_test
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"github.com/pml-mpi/pmlmpi/pkg/bundle"
 	"github.com/pml-mpi/pmlmpi/pkg/forest"
+	"github.com/pml-mpi/pmlmpi/pkg/perfmodel"
 	"github.com/pml-mpi/pmlmpi/pkg/synth"
 )
 
@@ -66,63 +68,153 @@ func BenchmarkCompiledPredictBatch(b *testing.B) {
 	}
 }
 
-// TestCompiledSpeedup is the CI performance guard: on the committed
-// trainer-emitted fixture, the compiled evaluator must be at least 2x
-// faster than the pointer walk. Measured with testing.Benchmark so both
-// sides get the same calibration machinery; skipped under -race and in
-// -short runs (timing ratios need an unloaded, uninstrumented process).
-func TestCompiledSpeedup(t *testing.T) {
+// bestSpeedup measures slow and fast back to back with testing.Benchmark,
+// for up to seven rounds, and returns the best round's slow/fast ratio with
+// that round's readings; it stops as soon as a round reaches want. On a
+// shared host a busy neighbour can halve either side of any one round, and
+// never speeds one up: a guard that fails only when no round in seven shows
+// the speedup fails for the code, not for the weather.
+func bestSpeedup(want float64, slow, fast func(b *testing.B)) (ratio float64, slowNs, fastNs int64) {
+	for round := 0; round < 7 && ratio < want; round++ {
+		s, f := testing.Benchmark(slow).NsPerOp(), testing.Benchmark(fast).NsPerOp()
+		if r := float64(s) / float64(f); r > ratio {
+			ratio, slowNs, fastNs = r, s, f
+		}
+	}
+	return ratio, slowNs, fastNs
+}
+
+// skipTimingGuard skips where timing ratios mean nothing: under -race and
+// in -short runs (they need an unloaded, uninstrumented process).
+func skipTimingGuard(t *testing.T) {
+	t.Helper()
 	if raceEnabled {
 		t.Skip("timing ratios are meaningless under -race")
 	}
 	if testing.Short() {
 		t.Skip("speedup guard skipped in -short mode")
 	}
-	b, err := bundle.Load(trainedFixture)
-	if err != nil {
-		t.Fatalf("Load(%s): %v", trainedFixture, err)
-	}
-	for name, c := range b.Collectives {
-		c := c
-		cf := c.Compiled()
-		x, err := c.Vector(synth.Points(7, 1)[0])
+}
+
+// paperBundle is the paper's own 9.2 MB bundle, the model the benchmark's
+// cold_batch workload serves: 60 and 100 trees of several hundred leaves
+// each, the shape the evaluators are built for.
+const paperBundle = "../../../.pmlbench/bundle_all_full.json"
+
+// paperVectors extracts n distinct in-hull feature vectors for c, drawn
+// the way the benchmark draws its points: job shapes on the balanced
+// cluster of the training sweep, message sizes continuous.
+func paperVectors(t testing.TB, c *bundle.Collective, n int) [][]float64 {
+	t.Helper()
+	rng := rand.New(rand.NewSource(9))
+	xs := make([][]float64, n)
+	for i := range xs {
+		features := perfmodel.DefaultSystems[1].Features(float64(2+rng.Intn(31)), float64(1+rng.Intn(32)), 2+20*rng.Float64())
+		x, err := c.Vector(features)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Interleave three measurements per side and take each side's
-		// fastest: the minimum estimates true cost, while a mean would
-		// fold scheduler and noisy-neighbor stalls into whichever side
-		// they happened to hit.
-		pointerNs, compiledNs := int64(1<<62), int64(1<<62)
-		for round := 0; round < 3; round++ {
-			pointer := testing.Benchmark(func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := c.Forest.Predict(x); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			compiledRes := testing.Benchmark(func(b *testing.B) {
-				var p forest.Prediction
-				for i := 0; i < b.N; i++ {
-					if err := cf.PredictInto(x, &p); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			if ns := pointer.NsPerOp(); ns < pointerNs {
-				pointerNs = ns
+		xs[i] = x
+	}
+	return xs
+}
+
+// TestCompiledSpeedup is the CI performance guard of the single-vector
+// evaluator against the pointer walk, at two shapes. On the paper's bundle,
+// over a stream of vectors that never repeats — the forest only ever runs
+// on a decision-cache miss — it must be at least 3x faster. On the
+// committed trainer-emitted fixture, four small trees replayed on one
+// vector, it must still be 1.5x faster: there the branch-free step is
+// bound by its own latency (four chains cannot hide a load-compare-select
+// round trip per level) while the pointer walk enjoys a branch predictor
+// that has seen the one path before, which is why this floor is lower than
+// the 2x the branchy walk used to be held to.
+func TestCompiledSpeedup(t *testing.T) {
+	skipTimingGuard(t)
+	for _, shape := range []struct {
+		name, path string
+		want       float64
+		vectors    func(c *bundle.Collective) [][]float64
+	}{
+		{"paper bundle", paperBundle, 3, func(c *bundle.Collective) [][]float64 { return paperVectors(t, c, 2048) }},
+		{"trained fixture", trainedFixture, 1.5, func(c *bundle.Collective) [][]float64 {
+			x, err := c.Vector(synth.Points(7, 1)[0])
+			if err != nil {
+				t.Fatal(err)
 			}
-			if ns := compiledRes.NsPerOp(); ns < compiledNs {
-				compiledNs = ns
+			return [][]float64{x}
+		}},
+	} {
+		b, err := bundle.Load(shape.path)
+		if err != nil {
+			t.Fatalf("Load(%s): %v", shape.path, err)
+		}
+		for name, c := range b.Collectives {
+			c, cf, xs := c, c.Compiled(), shape.vectors(c)
+			ratio, pointerNs, compiledNs := bestSpeedup(shape.want,
+				func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						if _, err := c.Forest.Predict(xs[i%len(xs)]); err != nil {
+							b.Fatal(err)
+						}
+					}
+				},
+				func(b *testing.B) {
+					var p forest.Prediction
+					for i := 0; i < b.N; i++ {
+						if err := cf.PredictInto(xs[i%len(xs)], &p); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			t.Logf("%s %s: pointer %v ns/op, compiled %v ns/op, speedup %.2fx",
+				shape.name, name, pointerNs, compiledNs, ratio)
+			if ratio < shape.want {
+				t.Errorf("%s %s: compiled evaluator is only %.2fx faster than pointer (pointer %dns, compiled %dns), want >= %.1fx",
+					shape.name, name, ratio, pointerNs, compiledNs, shape.want)
 			}
 		}
-		ratio := float64(pointerNs) / float64(compiledNs)
-		t.Logf("%s: pointer %v ns/op, compiled %v ns/op, speedup %.2fx",
-			name, pointerNs, compiledNs, ratio)
-		if ratio < 2.0 {
-			t.Errorf("%s: compiled evaluator is only %.2fx faster than pointer (pointer %dns, compiled %dns), want >= 2x",
-				name, ratio, pointerNs, compiledNs)
+	}
+}
+
+// TestBatchKernelSpeedup keeps the lockstep batch kernel from rotting: on
+// the paper's bundle, 128 never-repeated vectors through PredictBatch must
+// cost at most 1/3.5 per vector of the pointer walk — the one yardstick
+// that does not move when the evaluators do. (The single-vector walk takes
+// the same branch-free step eight trees at a time, so against PredictInto
+// the batch's edge is only the locality of walking tree-major.)
+func TestBatchKernelSpeedup(t *testing.T) {
+	skipTimingGuard(t)
+	b, err := bundle.Load(paperBundle)
+	if err != nil {
+		t.Fatalf("Load(%s): %v", paperBundle, err)
+	}
+	const vectors, want = 128, 3.5
+	for name, c := range b.Collectives {
+		c, cf, xs := c, c.Compiled(), paperVectors(t, c, 16*vectors)
+		out := make([]forest.Prediction, vectors)
+		ratio, pointerNs, batchNs := bestSpeedup(want,
+			func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					for _, x := range xs[i%16*vectors:][:vectors] {
+						if _, err := c.Forest.Predict(x); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+			},
+			func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if err := cf.PredictBatch(xs[i%16*vectors:][:vectors], out); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		t.Logf("%s: %d vectors by pointer walk %v ns, batched %v ns, speedup %.2fx",
+			name, vectors, pointerNs, batchNs, ratio)
+		if ratio < want {
+			t.Errorf("%s: batch kernel is only %.2fx faster per vector than the pointer walk (%dns vs %dns for %d vectors), want >= %.1fx",
+				name, ratio, pointerNs, batchNs, vectors, want)
 		}
 	}
 }

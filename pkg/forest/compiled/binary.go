@@ -71,11 +71,11 @@ func (cf *Forest) AppendBinary(dst []byte) []byte {
 		}
 	}
 	for i, nd := range cf.nodes {
-		// The wire carries a leaf's ordinal, not its self-pointing parked
-		// offset; the premultiplied leafRef offset divides back exactly.
-		o := nd.off()
+		// The wire carries the right child's arena index, or a leaf's
+		// ordinal; the premultiplied leafProbs offset divides back exactly.
+		o := nd.right(int32(i))
 		if nd.isLeaf() {
-			o = int32(uint32(cf.leafRef[i])) / int32(cf.nClasses)
+			o = int32(probOff(nd.leafWord()) / cf.nClasses)
 		}
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(o))
 	}
@@ -116,10 +116,10 @@ func (cf *Forest) UnmarshalBinary(data []byte) error {
 	nNodes := int(binary.LittleEndian.Uint32(data[20:]))
 	nLeaves := int(binary.LittleEndian.Uint32(data[24:]))
 
-	if nClasses <= 0 || nClasses > 1<<16 {
+	if nClasses <= 0 || nClasses > maxClasses {
 		return fmt.Errorf("compiled: implausible class count %d", nClasses)
 	}
-	if nFeatures < 0 || nFeatures >= leafFlag {
+	if nFeatures < 0 || nFeatures >= maxFeatures {
 		return fmt.Errorf("compiled: implausible feature count %d", nFeatures)
 	}
 	if nTrees <= 0 || nNodes < nTrees || nNodes > maxNodes || nLeaves < nTrees || nLeaves > nNodes {
@@ -136,7 +136,6 @@ func (cf *Forest) UnmarshalBinary(data []byte) error {
 
 	roots := resizeInt32s(cf.roots, nTrees)
 	nodes := resizeNodes(cf.nodes, nNodes)
-	lref := resizeUint64s(cf.leafRef, nNodes)
 	votes := resizeInt32s(cf.leafVotes, nLeaves)
 	probs := resizeFloats(cf.leafProbs, nProbs)
 
@@ -145,8 +144,9 @@ func (cf *Forest) UnmarshalBinary(data []byte) error {
 		roots[i] = int32(binary.LittleEndian.Uint32(data[off:]))
 		off += 4
 	}
-	// The wire arrays (feat, thresh, offs) interleave into the packed node
-	// arena: three passes, each filling one field of every node.
+	// The wire arrays (feat, thresh, offs) interleave into the node arena,
+	// staged in wire form (see wireFeat, wireOff): three passes, each
+	// filling one field of every node.
 	for i := range nodes {
 		nodes[i].meta = uint64(binary.LittleEndian.Uint16(data[off:]))
 		off += 2
@@ -171,27 +171,23 @@ func (cf *Forest) UnmarshalBinary(data []byte) error {
 	if err := validateArena(nClasses, nFeatures, nLeaves, roots, nodes, votes); err != nil {
 		return err
 	}
-	// The decoded nodes still carry wire semantics (sentinel feature,
-	// ordinal offset); repack them into the parked in-memory form now that
-	// validation proved every ordinal and vote is in range.
-	for i := range nodes {
-		lref[i] = 0
-		if nodes[i].feat() == leafSentinel {
-			k := nodes[i].off()
-			lref[i] = packLeafRef(k*int32(nClasses), votes[k])
-			nodes[i] = packLeaf(int32(i))
+	// The staged nodes still carry wire semantics (sentinel feature,
+	// absolute offset or leaf ordinal); pack them into the in-memory form
+	// now that validation proved every offset, ordinal and vote is in range.
+	for i, nd := range nodes {
+		if wireFeat(nd) == leafSentinel {
+			k := wireOff(nd)
+			nodes[i] = packLeaf(k*int32(nClasses), votes[k])
+		} else {
+			nodes[i] = packNode(int32(i), wireFeat(nd), wireOff(nd), nd.t)
 		}
 	}
 	cf.nClasses = nClasses
 	cf.nFeatures = nFeatures
 	cf.roots = roots
 	cf.nodes = nodes
-	cf.leafRef = lref
 	cf.leafVotes = votes
 	cf.leafProbs = probs
-	if cf.BatchThreshold == 0 {
-		cf.BatchThreshold = DefaultBatchThreshold
-	}
 	return nil
 }
 
@@ -204,7 +200,13 @@ func DecodeBinary(data []byte) (*Forest, error) {
 	return cf, nil
 }
 
-// validateArena proves the decoded arrays describe a well-formed preorder
+// wireFeat and wireOff read a node staged in wire form during decoding: the
+// wire's feature index (or leafSentinel) in the meta word's low 16 bits, its
+// offs entry — right child's arena index, or leaf ordinal — above them.
+func wireFeat(n node) uint16 { return uint16(n.meta) }
+func wireOff(n node) int32   { return int32(uint32(n.meta >> 16)) }
+
+// validateArena proves the staged arrays describe a well-formed preorder
 // forest: roots partition the arena in ascending order, every internal
 // node's right-child offset points strictly past its left child and stays
 // inside its tree (so descent strictly advances and must terminate at a
@@ -232,8 +234,8 @@ func validateArena(nClasses, nFeatures, nLeaves int, roots []int32, nodes []node
 		}
 		for i := lo; i < hi; i++ {
 			nd := nodes[i]
-			if nd.feat() == leafSentinel {
-				k := nd.off()
+			if wireFeat(nd) == leafSentinel {
+				k := wireOff(nd)
 				if k < 0 || int(k) >= nLeaves {
 					return fmt.Errorf("compiled: tree %d node %d leaf ordinal %d out of range [0,%d)", ti, i-lo, k, nLeaves)
 				}
@@ -245,13 +247,13 @@ func validateArena(nClasses, nFeatures, nLeaves int, roots []int32, nodes []node
 				}
 				continue
 			}
-			if int(nd.feat()) >= nFeatures {
-				return fmt.Errorf("compiled: tree %d node %d feature %d out of range [0,%d)", ti, i-lo, nd.feat(), nFeatures)
+			if int(wireFeat(nd)) >= nFeatures {
+				return fmt.Errorf("compiled: tree %d node %d feature %d out of range [0,%d)", ti, i-lo, wireFeat(nd), nFeatures)
 			}
 			// Preorder invariant: left child at i+1, left subtree fills
 			// (i, off), right child at off before the tree's end. This
 			// bounds i+1 < hi too, so descent can never escape.
-			if r := nd.off(); r <= i+1 || r >= hi {
+			if r := wireOff(nd); r <= i+1 || r >= hi {
 				return fmt.Errorf("compiled: tree %d node %d right child %d outside (%d,%d)", ti, i-lo, r, i+1-lo, hi-lo)
 			}
 		}
@@ -272,14 +274,6 @@ func resizeInt32s(s []int32, n int) []int32 {
 func resizeNodes(s []node, n int) []node {
 	if cap(s) < n {
 		return make([]node, n)
-	}
-	return s[:n]
-}
-
-// resizeUint64s is resizeInt32s for uint64 slices.
-func resizeUint64s(s []uint64, n int) []uint64 {
-	if cap(s) < n {
-		return make([]uint64, n)
 	}
 	return s[:n]
 }

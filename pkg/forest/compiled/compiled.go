@@ -1,25 +1,45 @@
 // Package compiled is the hot-path forest evaluator: it flattens a
-// validated pointer-linked forest.Forest into contiguous structure-of-arrays
-// storage compiled once at bundle load time, then evaluates with
-// cache-line-friendly, branch-light descent and no per-call error checking
-// (structural validity is proven at compile time, so the descent loop cannot
-// go out of bounds or cycle).
+// validated pointer-linked forest.Forest into one contiguous node arena
+// compiled once at bundle load time, then evaluates with cache-line-friendly,
+// branch-free descent and no per-call error checking (structural validity is
+// proven at compile time, so the descent loop cannot go out of bounds or
+// cycle).
 //
 // Each tree is laid out in preorder: a node's left child is the very next
-// arena slot, so only the right child needs an explicit offset and a
+// arena slot, so only the right child needs an explicit distance and a
 // left-leaning descent reads memory sequentially. In memory each node packs
-// the split threshold and a meta word (feature index in the low 16 bits,
-// right-child index or leaf ordinal above) into 16 bytes, so the walk costs
-// one bounds check and one cache line per node — a fraction of the pointer
-// representation's 56-byte nodes. The wire format (binary.go) stays plain
-// structure-of-arrays: featureIdx []uint16, threshold []float64, childOffset
-// []int32, plus leaf payloads.
+// the split threshold and a meta word (the split feature's byte offset, the
+// byte distance to the right child) into 16 bytes, so a descent step costs
+// one cache line per node — a fraction of the pointer representation's
+// 56-byte nodes. The wire format (binary.go) stays plain structure-of-arrays:
+// featureIdx []uint16, threshold []float64, childOffset []int32, plus leaf
+// payloads.
+//
+// There is one descent step (step, in batch.go) and every walk takes it:
+// x <= t becomes a 0/1 flag and the flag masks the right child's distance in
+// or out of the next position — arithmetic, not a branch. The step used to
+// be "if !(x <= t) { next = right }", which the compiler kept as UCOMISD +
+// conditional jump (it will not turn a select that feeds a load address into
+// a CMOV): about a thousand data-dependent jumps per decision on the paper's
+// forests (60 and 100 trees, 8 to 10 levels deep), on inputs that by
+// construction are new to the process — the forest only runs on a
+// decision-cache miss — so the predictor had little to go on, and a CPU
+// profile of the serving binary had the walk as its largest single cost.
+// Branch-free, a chain is bound by the latency of its load-compare-select
+// round trip instead, which lockstep hides: the single-vector walk runs
+// eight trees at a time (walkChunk), the batch walk eight vectors down each
+// tree (walkLanes), and parked leaves let a finished chain idle in place so
+// the lockstep loops need no per-lane guard. The property is checked, not
+// assumed: in `go build -gcflags=-S ./pkg/forest/compiled` every UCOMISD in
+// walkLanes and walkChunk is followed by a SETcc, and the only conditional
+// jumps inside the loops are the all-parked exits.
 //
 // The compiled evaluator is bit-identical to forest.Forest.Predict: leaf
 // distributions accumulate in the same tree and class order, votes use the
 // same first-wins argmax, and the final mean uses the same division, so
-// every float in the result carries the exact same bits. A differential
-// fuzz target and a golden prediction-table test pin that guarantee.
+// every float in the result carries the exact same bits. Two differential
+// fuzz targets (single vectors, and batches that fill the lanes) and a
+// golden prediction-table test pin that guarantee.
 //
 // A compiled Forest is immutable after Compile and therefore safe to share
 // across goroutines and registry generations without synchronization.
@@ -38,72 +58,102 @@ import (
 // leafSentinel marks a leaf in the wire format's feature-index array.
 const leafSentinel = math.MaxUint16
 
-// leafFlag marks a leaf in the in-memory meta word (bit 15 of the feature
-// bits), and featMask extracts the real feature index below it. Compile
-// rejects forests with 1<<15 or more features, so the flag can never
-// collide with a real feature index.
-const (
-	leafFlag = 1 << 15
-	featMask = leafFlag - 1
-)
+// maxFeatures bounds the feature count: a split's feature travels in
+// featBits bits of the meta word as a byte offset (index*8), and on the
+// wire as a uint16 below leafSentinel.
+const maxFeatures = 1 << 15
 
 // maxNodes bounds the node arena so every arena index fits comfortably in
 // int32.
 const maxNodes = 1 << 30
 
-// node is one compiled tree node: the split threshold plus a meta word
-// packing the feature bits (low 16: feature index, or leafFlag for a leaf)
-// and the next-node arena index in bits 16..47. One 16-byte load brings in
-// everything the descent needs.
+// node is one compiled tree node, 16 bytes that one load brings in: the
+// split threshold, and a meta word made for the descent step. Its low
+// featBits bits are the split feature's byte offset into a feature vector
+// (index*8); the bits above are the signed byte distance from the node's
+// left child — always the next arena slot — to its right child. Nothing in
+// it needs shifting into place or subtracting from the current position
+// before it can be used.
 //
-// A leaf is a *parked* node: its threshold is NaN and its packed offset
-// points at itself, so the unguarded descent step — go right unless
-// x[feat&featMask] <= t — self-loops forever once a chain reaches its leaf
-// (NaN compares false, so it always goes "right" to itself, and its feature
-// bits mask to 0 so the x read stays in bounds). That lets two trees
-// descend in lockstep with no per-step "am I done?" branches: the loop just
-// runs until both chains are parked. Leaf payloads (leafProbs offset and
-// hard-vote class) live in the parallel leafRef array, keyed by the leaf's
-// own arena index.
+// A leaf is a *parked* node: its threshold is NaN, its feature offset 0 and
+// its distance -nodeSize, so the unguarded descent step — go right unless
+// x[feat] <= t — lands back on the leaf forever once a chain reaches it
+// (NaN compares false, so it always goes "right", one slot back from the
+// "left child"; feature 0 keeps the x read in bounds). That lets several
+// chains descend in lockstep with no per-step "am I done?" branches: the
+// loop just runs until all of them are parked, and since only a leaf has a
+// negative distance, the meta word's sign bit is the leaf flag. The parked
+// NaN also carries the leaf's payload in its mantissa (see packLeaf), so
+// the node a chain stops on — already loaded — says where its class
+// distribution lives: no second array, no second dependent load.
 type node struct {
 	t    float64
 	meta uint64
 }
 
-// packNode builds an internal node's packed form.
-func packNode(feat uint16, off int32, t float64) node {
-	return node{t: t, meta: uint64(feat) | uint64(uint32(off))<<16}
+const (
+	nodeSize = 16
+	featBits = 18 // maxFeatures byte offsets of 8
+	featMask = 1<<featBits - 1
+)
+
+// packNode builds the internal node at arena index i: split on feat at t,
+// right child at arena index right (the left child is i+1).
+func packNode(i int32, feat uint16, right int32, t float64) node {
+	dist := int64(right-i-1) * nodeSize
+	return node{t: t, meta: uint64(dist)<<featBits | uint64(feat)*8}
 }
 
-// packLeaf builds a leaf's parked form: NaN threshold, self-pointing
-// offset.
-func packLeaf(self int32) node {
-	return node{t: math.NaN(), meta: leafFlag | uint64(uint32(self))<<16}
+// A parked leaf's threshold is a quiet NaN whose mantissa holds the leaf
+// word: the leaf's premultiplied leafProbs offset in the low leafVoteShift
+// bits (offsets stay below maxNodes = 1<<30) and its hard-vote class above
+// (class counts stay at or below maxClasses = 1<<16), 47 of the 51 payload
+// bits a quiet NaN has.
+const (
+	leafNaN       = 0x7ff8 << 48
+	leafVoteShift = 31
+	leafOffMask   = 1<<leafVoteShift - 1
+	leafWordMask  = 1<<51 - 1
+)
+
+// maxClasses bounds the class count, in memory and on the wire.
+const maxClasses = 1 << 16
+
+// packLeaf builds a leaf's parked form: a NaN threshold carrying the leaf
+// word (premultiplied leafProbs offset, hard-vote class), feature offset 0
+// and the distance that steps back onto the leaf.
+func packLeaf(probOff, vote int32) node {
+	word := uint64(uint32(probOff)) | uint64(uint32(vote))<<leafVoteShift
+	dist := int64(-nodeSize)
+	return node{t: math.Float64frombits(leafNaN | word), meta: uint64(dist) << featBits}
 }
 
-// packLeafRef builds a leaf's payload word from its premultiplied leafProbs
-// offset and hard-vote class.
-func packLeafRef(probOff int32, vote int32) uint64 {
-	return uint64(uint32(probOff)) | uint64(uint32(vote))<<32
-}
+// leafWord returns a parked leaf's payload; probOff and vote unpack it.
+func (n node) leafWord() uint64 { return math.Float64bits(n.t) & leafWordMask }
 
-// feat returns the low 16 feature bits: the split feature index for an
-// internal node, leafFlag for a leaf.
-func (n node) feat() uint16 { return uint16(n.meta) }
+func probOff(word uint64) int { return int(word & leafOffMask) }
+func vote(word uint64) int    { return int(word >> leafVoteShift) }
+
+// feat returns an internal node's split feature index.
+func (n node) feat() uint16 { return uint16(n.meta & featMask / 8) }
 
 // isLeaf reports whether the node is a (parked) leaf.
-func (n node) isLeaf() bool { return n.meta&leafFlag != 0 }
+func (n node) isLeaf() bool { return int64(n.meta) < 0 }
 
-// off returns the next-node arena index: the right child for an internal
-// node, the node itself for a leaf.
-func (n node) off() int32 { return int32(uint32(n.meta >> 16)) }
+// dist returns the signed byte distance from the left child's slot to the
+// node the descent goes to when it does not go left.
+func (n node) dist() int64 { return int64(n.meta) >> featBits }
+
+// right returns the arena index of the right child of the internal node at
+// arena index i.
+func (n node) right(i int32) int32 { return i + 1 + int32(n.dist()/nodeSize) }
 
 // Forest is a compiled ensemble. Trees live tree-after-tree in one packed
 // node arena, each tree in preorder:
 //
 //   - an internal node splits on x[feat] <= t (left child at i+1, right
-//     child at the packed offset);
-//   - a leaf is parked (see node) and leafRef[i] carries its payload: the
+//     child at the packed distance from there);
+//   - a leaf is parked (see node) and carries its payload in its NaN: the
 //     leafProbs offset of its class distribution plus its precomputed
 //     hard-vote class;
 //   - leafProbs holds leaf k's class distribution at [k*nClasses,
@@ -117,15 +167,8 @@ type Forest struct {
 	nFeatures int
 	roots     []int32
 	nodes     []node
-	leafRef   []uint64
 	leafVotes []int32
 	leafProbs []float64
-
-	// BatchThreshold is the vector count at or above which PredictBatch
-	// fans out across goroutines (DefaultBatchThreshold after Compile;
-	// <= 0 disables fan-out). Set it before the forest is shared — like
-	// every other field it must not change once evaluation starts.
-	BatchThreshold int
 
 	// onPredict mirrors forest.Forest's instrumentation hook: it receives
 	// the wall time of every Predict/PredictInto call. Atomic so a
@@ -172,8 +215,11 @@ func Compile(f *forest.Forest, numFeatures int) (*Forest, error) {
 	if err := f.Validate(numFeatures); err != nil {
 		return nil, fmt.Errorf("compile: %w", err)
 	}
-	if numFeatures >= leafFlag {
-		return nil, fmt.Errorf("compile: %d features overflow the %d-feature index space", numFeatures, leafFlag-1)
+	if numFeatures >= maxFeatures {
+		return nil, fmt.Errorf("compile: %d features overflow the %d-feature index space", numFeatures, maxFeatures-1)
+	}
+	if f.NClasses > maxClasses {
+		return nil, fmt.Errorf("compile: %d classes exceed the bound %d", f.NClasses, maxClasses)
 	}
 	total, leaves := 0, 0
 	for ti := range f.Trees {
@@ -193,12 +239,10 @@ func Compile(f *forest.Forest, numFeatures int) (*Forest, error) {
 	}
 
 	cf := &Forest{
-		nClasses:       f.NClasses,
-		nFeatures:      numFeatures,
-		roots:          make([]int32, len(f.Trees)),
-		nodes:          make([]node, 0, total),
-		leafRef:        make([]uint64, 0, total),
-		BatchThreshold: DefaultBatchThreshold,
+		nClasses:  f.NClasses,
+		nFeatures: numFeatures,
+		roots:     make([]int32, len(f.Trees)),
+		nodes:     make([]node, 0, total),
 	}
 	for ti := range f.Trees {
 		nodes := f.Trees[ti].Nodes
@@ -218,17 +262,15 @@ func Compile(f *forest.Forest, numFeatures int) (*Forest, error) {
 						best = c
 					}
 				}
-				cf.nodes = append(cf.nodes, packLeaf(int32(len(cf.nodes))))
-				cf.leafRef = append(cf.leafRef, packLeafRef(int32(len(cf.leafProbs)), int32(best)))
+				cf.nodes = append(cf.nodes, packLeaf(int32(len(cf.leafProbs)), int32(best)))
 				cf.leafVotes = append(cf.leafVotes, int32(best))
 				cf.leafProbs = append(cf.leafProbs, n.D...)
 				return
 			}
 			i := len(cf.nodes)
-			cf.nodes = append(cf.nodes, packNode(uint16(n.F), 0, n.T))
-			cf.leafRef = append(cf.leafRef, 0)
+			cf.nodes = append(cf.nodes, node{})
 			emit(n.L)
-			cf.nodes[i].meta |= uint64(uint32(len(cf.nodes))) << 16
+			cf.nodes[i] = packNode(int32(i), uint16(n.F), int32(len(cf.nodes)), n.T)
 			emit(n.R)
 		}
 		emit(0)
@@ -246,7 +288,7 @@ func (cf *Forest) Decompile() *forest.Forest {
 		NClasses: cf.nClasses,
 		Trees:    make([]forest.Tree, len(cf.roots)),
 	}
-	nc := int32(cf.nClasses)
+	nc := cf.nClasses
 	for ti := range cf.roots {
 		lo, hi := cf.treeBounds(ti)
 		nodes := make([]forest.Node, hi-lo)
@@ -257,11 +299,11 @@ func (cf *Forest) Decompile() *forest.Forest {
 				n.F = int(nd.feat())
 				n.T = nd.t
 				n.L = int(i + 1 - lo)
-				n.R = int(nd.off() - lo)
+				n.R = int(nd.right(i) - lo)
 				continue
 			}
 			n.F = -1
-			off := int32(uint32(cf.leafRef[i]))
+			off := probOff(nd.leafWord())
 			n.D = append([]float64(nil), cf.leafProbs[off:off+nc]...)
 		}
 		f.Trees[ti] = forest.Tree{Nodes: nodes}
@@ -279,66 +321,66 @@ func (cf *Forest) treeBounds(ti int) (lo, hi int32) {
 }
 
 // treeChunk is the tree-group size of accumulate's two-phase walk: leaf
-// arena indices for up to treeChunk trees are buffered on the stack before
+// words for up to treeChunk trees are buffered on the stack before
 // accumulation, so descent order can differ from accumulation order.
 const treeChunk = 64
 
-// walkChunk descends every tree rooted in roots on x, writing each tree's
-// final leaf arena index into the matching li slot. Trees are walked two at
-// a time: the two load chains are independent, so the CPU overlaps their
-// node fetches instead of serializing them, roughly halving the
-// latency-bound descent time. Parked leaves (see node) make the lockstep
-// loop guard-free — a chain that reaches its leaf keeps harmlessly stepping
-// in place until the other one finishes — and the predicate matches the
-// pointer walk exactly: x[f] <= t goes left, everything else — including
-// NaN — goes right, written as a negated <= so NaN routes identically in
-// both evaluators.
+// walkChunk descends every tree rooted in roots on x, writing the leaf word
+// (see packLeaf) of each tree's final leaf into the matching lw slot. Trees
+// go eight at a time, then four, then singly, always through the shared
+// branch-free step (see step): the load chains of a group are independent,
+// so the CPU overlaps their node fetches instead of serializing them, and
+// no chain ever waits on a mispredicted split. Parked leaves (see node) make
+// the lockstep loops guard-free — a chain that reaches its leaf keeps
+// harmlessly stepping in place until the others finish.
 //
 // Callers must guarantee len(x) > 0 (any forest with an internal node
 // requires it; see accumulate for the leaf-only case).
-// The inner loop reads nodes and x through raw pointers: bounds checks cost
-// ~15% of the whole predict here, and every index is already proven in
-// range before evaluation ever starts — Compile and UnmarshalBinary
-// validate that each node's packed offset stays inside its tree's arena
-// segment, each split's feature index is below nFeatures (and PredictInto
-// rejects vectors shorter than nFeatures), and a parked leaf's feature bits
-// mask to 0 (walkChunk's callers guarantee len(x) > 0).
-func walkChunk(nodes []node, x []float64, roots []int32, li []int32) {
+// The loops read nodes and x through raw pointers: bounds checks cost ~15%
+// of the whole predict here, and every index is already proven in range
+// before evaluation ever starts — Compile and UnmarshalBinary validate that
+// each node's right child stays inside its tree's arena segment, each
+// split's feature index is below nFeatures (and PredictInto rejects vectors
+// shorter than nFeatures), and a parked leaf reads feature 0.
+func walkChunk(nodes []node, x []float64, roots []int32, lw []uint64) {
 	np := unsafe.Pointer(unsafe.SliceData(nodes))
 	xp := unsafe.Pointer(unsafe.SliceData(x))
+	feature := func(n node) float64 { return *(*float64)(unsafe.Add(xp, uintptr(n.meta&featMask))) }
+	at := func(t int) uintptr { return uintptr(uint32(roots[t])) * nodeSize }
 	t := 0
-	for ; t+2 <= len(roots); t += 2 {
-		i0, i1 := roots[t], roots[t+1]
-		n0 := *(*node)(unsafe.Add(np, uintptr(uint32(i0))*16))
-		n1 := *(*node)(unsafe.Add(np, uintptr(uint32(i1))*16))
-		for n0.meta&n1.meta&leafFlag == 0 {
-			next0 := i0 + 1
-			if !(*(*float64)(unsafe.Add(xp, uintptr(uint16(n0.meta)&featMask)*8)) <= n0.t) {
-				next0 = n0.off()
+	for ; t+8 <= len(roots); t += 8 {
+		i0, i1, i2, i3, i4, i5, i6, i7 := at(t), at(t+1), at(t+2), at(t+3), at(t+4), at(t+5), at(t+6), at(t+7)
+		for {
+			n0, n1, n2, n3 := nodeAt(np, i0), nodeAt(np, i1), nodeAt(np, i2), nodeAt(np, i3)
+			n4, n5, n6, n7 := nodeAt(np, i4), nodeAt(np, i5), nodeAt(np, i6), nodeAt(np, i7)
+			if int64(n0.meta&n1.meta&n2.meta&n3.meta&n4.meta&n5.meta&n6.meta&n7.meta) < 0 { // all parked
+				lw[t], lw[t+1], lw[t+2], lw[t+3] = n0.leafWord(), n1.leafWord(), n2.leafWord(), n3.leafWord()
+				lw[t+4], lw[t+5], lw[t+6], lw[t+7] = n4.leafWord(), n5.leafWord(), n6.leafWord(), n7.leafWord()
+				break
 			}
-			i0 = next0
-			n0 = *(*node)(unsafe.Add(np, uintptr(uint32(i0))*16))
-			next1 := i1 + 1
-			if !(*(*float64)(unsafe.Add(xp, uintptr(uint16(n1.meta)&featMask)*8)) <= n1.t) {
-				next1 = n1.off()
-			}
-			i1 = next1
-			n1 = *(*node)(unsafe.Add(np, uintptr(uint32(i1))*16))
+			i0, i1, i2, i3 = step(n0, feature(n0), i0), step(n1, feature(n1), i1), step(n2, feature(n2), i2), step(n3, feature(n3), i3)
+			i4, i5, i6, i7 = step(n4, feature(n4), i4), step(n5, feature(n5), i5), step(n6, feature(n6), i6), step(n7, feature(n7), i7)
 		}
-		li[t], li[t+1] = i0, i1
 	}
-	if t < len(roots) {
-		i := roots[t]
-		nd := nodes[i]
-		for !nd.isLeaf() {
-			next := i + 1
-			if !(x[nd.feat()] <= nd.t) {
-				next = nd.off()
+	for ; t+4 <= len(roots); t += 4 {
+		i0, i1, i2, i3 := at(t), at(t+1), at(t+2), at(t+3)
+		for {
+			n0, n1, n2, n3 := nodeAt(np, i0), nodeAt(np, i1), nodeAt(np, i2), nodeAt(np, i3)
+			if int64(n0.meta&n1.meta&n2.meta&n3.meta) < 0 {
+				lw[t], lw[t+1], lw[t+2], lw[t+3] = n0.leafWord(), n1.leafWord(), n2.leafWord(), n3.leafWord()
+				break
 			}
-			i = next
-			nd = nodes[i]
+			i0, i1, i2, i3 = step(n0, feature(n0), i0), step(n1, feature(n1), i1), step(n2, feature(n2), i2), step(n3, feature(n3), i3)
 		}
-		li[t] = i
+	}
+	for ; t < len(roots); t++ {
+		i := at(t)
+		n := nodeAt(np, i)
+		for !n.isLeaf() {
+			i = step(n, feature(n), i)
+			n = nodeAt(np, i)
+		}
+		lw[t] = n.leafWord()
 	}
 }
 
@@ -355,10 +397,10 @@ func walkChunk(nodes []node, x []float64, roots []int32, li []int32) {
 // accumulate returns the argmax class, computed with the pointer
 // evaluator's exact rule (strict >, lowest index wins ties).
 func (cf *Forest) accumulate(x []float64, acc []float64, votes []int) int {
-	if len(x) == 0 {
-		// Only a forest with zero declared features gets here, and such a
-		// forest is all leaf-only trees (any split node forces nFeatures
-		// >= 1), so no descent step ever reads x.
+	if cf.nFeatures == 0 {
+		// A forest with zero declared features is all leaf-only trees (any
+		// split node forces nFeatures >= 1): nothing to descend, and no x
+		// to read.
 		cf.accumulateLeafOnly(acc, votes)
 		return cf.finalize(acc)
 	}
@@ -374,23 +416,22 @@ func (cf *Forest) accumulate(x []float64, acc []float64, votes []int) int {
 }
 
 func (cf *Forest) accumulate3(x []float64, acc []float64, votes []int) int {
-	lp, lref := cf.leafProbs, cf.leafRef
+	lp := cf.leafProbs
 	roots := cf.roots
-	var li [treeChunk]int32
+	var lw [treeChunk]uint64
 	var a0, a1, a2 float64
 	for g := 0; g < len(roots); g += treeChunk {
 		n := len(roots) - g
 		if n > treeChunk {
 			n = treeChunk
 		}
-		walkChunk(cf.nodes, x, roots[g:g+n], li[:n])
-		for _, i := range li[:n] {
-			r := lref[i]
-			off := int(uint32(r))
+		walkChunk(cf.nodes, x, roots[g:g+n], lw[:n])
+		for _, w := range lw[:n] {
+			off := probOff(w)
 			a0 += lp[off]
 			a1 += lp[off+1]
 			a2 += lp[off+2]
-			votes[r>>32]++
+			votes[vote(w)]++
 		}
 	}
 	// Mean and argmax stay in registers: same divides, same strict-> /
@@ -412,24 +453,23 @@ func (cf *Forest) accumulate3(x []float64, acc []float64, votes []int) int {
 }
 
 func (cf *Forest) accumulate4(x []float64, acc []float64, votes []int) int {
-	lp, lref := cf.leafProbs, cf.leafRef
+	lp := cf.leafProbs
 	roots := cf.roots
-	var li [treeChunk]int32
+	var lw [treeChunk]uint64
 	var a0, a1, a2, a3 float64
 	for g := 0; g < len(roots); g += treeChunk {
 		n := len(roots) - g
 		if n > treeChunk {
 			n = treeChunk
 		}
-		walkChunk(cf.nodes, x, roots[g:g+n], li[:n])
-		for _, i := range li[:n] {
-			r := lref[i]
-			off := int(uint32(r))
+		walkChunk(cf.nodes, x, roots[g:g+n], lw[:n])
+		for _, w := range lw[:n] {
+			off := probOff(w)
 			a0 += lp[off]
 			a1 += lp[off+1]
 			a2 += lp[off+2]
 			a3 += lp[off+3]
-			votes[r>>32]++
+			votes[vote(w)]++
 		}
 	}
 	n := float64(len(roots))
@@ -452,10 +492,10 @@ func (cf *Forest) accumulate4(x []float64, acc []float64, votes []int) int {
 }
 
 func (cf *Forest) accumulateAny(x []float64, acc []float64, votes []int) {
-	lp, lref := cf.leafProbs, cf.leafRef
+	lp := cf.leafProbs
 	nc := cf.nClasses
 	roots := cf.roots
-	var li [treeChunk]int32
+	var lw [treeChunk]uint64
 	for c := range acc {
 		acc[c] = 0
 	}
@@ -464,14 +504,13 @@ func (cf *Forest) accumulateAny(x []float64, acc []float64, votes []int) {
 		if n > treeChunk {
 			n = treeChunk
 		}
-		walkChunk(cf.nodes, x, roots[g:g+n], li[:n])
-		for _, i := range li[:n] {
-			r := lref[i]
-			off := int(uint32(r))
+		walkChunk(cf.nodes, x, roots[g:g+n], lw[:n])
+		for _, w := range lw[:n] {
+			off := probOff(w)
 			for c, p := range lp[off : off+nc] {
 				acc[c] += p
 			}
-			votes[r>>32]++
+			votes[vote(w)]++
 		}
 	}
 }
@@ -479,18 +518,18 @@ func (cf *Forest) accumulateAny(x []float64, acc []float64, votes []int) {
 // accumulateLeafOnly handles the degenerate zero-feature forest, where
 // every tree is a single leaf.
 func (cf *Forest) accumulateLeafOnly(acc []float64, votes []int) {
-	lp, lref := cf.leafProbs, cf.leafRef
+	lp := cf.leafProbs
 	nc := cf.nClasses
 	for c := range acc {
 		acc[c] = 0
 	}
 	for _, i := range cf.roots {
-		r := lref[i]
-		off := int(uint32(r))
+		w := cf.nodes[i].leafWord()
+		off := probOff(w)
 		for c, p := range lp[off : off+nc] {
 			acc[c] += p
 		}
-		votes[r>>32]++
+		votes[vote(w)]++
 	}
 }
 

@@ -1,6 +1,7 @@
 package compiled_test
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"sync/atomic"
@@ -209,14 +210,15 @@ func TestPredictShortVector(t *testing.T) {
 	}
 }
 
-// TestPredictBatchMatchesSingle drives PredictBatch both under and over the
-// goroutine fan-out threshold and checks every slot is bit-identical to a
-// standalone Predict, proving chunked parallelism never changes a result.
+// TestPredictBatchMatchesSingle drives PredictBatch at sizes on both sides
+// of every lane-group and block boundary and checks every slot is
+// bit-identical to a standalone Predict: padding a short group, and where a
+// vector falls in its block, never change a result.
 func TestPredictBatchMatchesSingle(t *testing.T) {
 	b := synth.MustNew(synth.Config{Seed: 15, Trees: 24, Depth: 7, Features: 8, Classes: 5})
 	for name, c := range b.Collectives {
 		cf := c.Compiled()
-		points := synth.Points(15, 96)
+		points := synth.Points(15, 130)
 		xs := make([][]float64, len(points))
 		for i, pt := range points {
 			x, err := c.Vector(pt)
@@ -225,21 +227,19 @@ func TestPredictBatchMatchesSingle(t *testing.T) {
 			}
 			xs[i] = x
 		}
-		for _, threshold := range []int{4 /* forces fan-out */, len(xs) + 1 /* sequential */, 0 /* fan-out disabled */} {
-			cf.BatchThreshold = threshold
-			out := make([]forest.Prediction, len(xs))
-			if err := cf.PredictBatch(xs, out); err != nil {
-				t.Fatalf("%s threshold=%d: %v", name, threshold, err)
+		for _, size := range []int{0, 1, 2, 7, 8, 9, 63, 64, 65, 130} {
+			out := make([]forest.Prediction, size)
+			if err := cf.PredictBatch(xs[:size], out); err != nil {
+				t.Fatalf("%s size=%d: %v", name, size, err)
 			}
-			for i, x := range xs {
+			for i, x := range xs[:size] {
 				want, err := cf.Predict(x)
 				if err != nil {
 					t.Fatal(err)
 				}
-				samePrediction(t, name, out[i], want)
+				samePrediction(t, fmt.Sprintf("%s size=%d item=%d", name, size, i), out[i], want)
 			}
 		}
-		cf.BatchThreshold = compiled.DefaultBatchThreshold
 	}
 }
 

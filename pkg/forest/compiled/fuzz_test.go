@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/pml-mpi/pmlmpi/pkg/forest"
@@ -135,6 +136,146 @@ func FuzzCompiledVsPointer(f *testing.F) {
 			t.Fatalf("decoded Predict: %v", err)
 		}
 		samePrediction(t, "binary-roundtrip", got2, want)
+	})
+}
+
+// fuzzSpecials are the float values a split comparison can get wrong.
+var fuzzSpecials = []float64{
+	math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0,
+	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, math.MaxFloat64, -math.MaxFloat64,
+}
+
+// fuzzLaneForest derives a valid forest whose trees differ as much as one
+// lockstep group can take: per tree the seed picks a stump (a single leaf),
+// a bushy tree, or a chain that is one step deep on one side and up to
+// forty on the other, so the lanes of a group arrive at very different
+// times. Zero features forces every tree to a stump — the zero-feature
+// forest. Thresholds are drawn from the specials as often as from a normal
+// distribution.
+func fuzzLaneForest(seed int64, shape []byte) (*forest.Forest, int) {
+	at := func(i int, mod, min int) int {
+		if i < len(shape) {
+			return min + int(shape[i])%mod
+		}
+		return min
+	}
+	trees := at(0, 12, 1)
+	depth := at(1, 9, 0)
+	features := at(2, 10, 0)
+	classes := at(3, 8, 2)
+
+	rng := rand.New(rand.NewSource(seed))
+	leaf := func() forest.Node {
+		dist := make([]float64, classes)
+		for i := range dist {
+			dist[i] = rng.Float64()
+		}
+		return forest.Node{F: -1, D: dist}
+	}
+	threshold := func() float64 {
+		if rng.Intn(2) == 0 {
+			return fuzzSpecials[rng.Intn(len(fuzzSpecials))]
+		}
+		return rng.NormFloat64() * 16
+	}
+	f := &forest.Forest{NClasses: classes, Trees: make([]forest.Tree, trees)}
+	for t := range f.Trees {
+		var nodes []forest.Node
+		kind := rng.Intn(4)
+		if features == 0 || depth == 0 {
+			kind = 0
+		}
+		switch kind {
+		case 0: // stump
+			nodes = []forest.Node{leaf()}
+		case 1: // bushy
+			var build func(d int) int
+			build = func(d int) int {
+				idx := len(nodes)
+				nodes = append(nodes, forest.Node{})
+				if d <= 0 || rng.Float64() < 0.15 {
+					nodes[idx] = leaf()
+					return idx
+				}
+				n := forest.Node{F: rng.Intn(features), T: threshold()}
+				n.L = build(d - 1)
+				n.R = build(d - 1)
+				nodes[idx] = n
+				return idx
+			}
+			build(depth)
+		default: // chain: a leaf on one side, the rest of the chain on the other
+			for links := 1 + rng.Intn(5*depth); links > 0; links-- {
+				idx := len(nodes)
+				n := forest.Node{F: rng.Intn(features), T: threshold(), L: idx + 1, R: idx + 2}
+				if kind == 3 {
+					n.L, n.R = n.R, n.L
+				}
+				nodes = append(nodes, n, leaf())
+			}
+			nodes = append(nodes, leaf())
+		}
+		f.Trees[t] = forest.Tree{Nodes: nodes}
+	}
+	return f, features
+}
+
+// FuzzPredictBatchVsPointer is the differential harness for the lockstep
+// batch kernel: batches of 1–40 vectors — so whole lane groups, short last
+// groups and single vectors all occur — over forests of very unequal trees,
+// with NaN, ±Inf, −0 and subnormals in vectors and thresholds alike. Every
+// slot must equal forest.Forest.Predict on its vector, also when the output
+// slots still hold another batch's results. Seed corpus lives in
+// testdata/fuzz/FuzzPredictBatchVsPointer.
+func FuzzPredictBatchVsPointer(f *testing.F) {
+	f.Add(int64(1), []byte{}, []byte{}, uint8(0))
+	f.Add(int64(2), []byte{11, 8, 9, 7}, []byte{}, uint8(39))
+	f.Add(int64(3), []byte{5, 0, 4, 2}, []byte{}, uint8(8))  // stumps only
+	f.Add(int64(4), []byte{7, 6, 0, 3}, []byte{}, uint8(16)) // the zero-feature forest
+	nan := binary.LittleEndian.AppendUint64(nil, math.Float64bits(math.NaN()))
+	negZero := binary.LittleEndian.AppendUint64(nan, math.Float64bits(math.Copysign(0, -1)))
+	f.Add(int64(5), []byte{11, 8, 1, 0}, binary.LittleEndian.AppendUint64(negZero, math.Float64bits(math.Inf(-1))), uint8(9))
+
+	f.Fuzz(func(t *testing.T, seed int64, shape, vecBytes []byte, count uint8) {
+		pf, features := fuzzLaneForest(seed, shape)
+		cf, err := compiled.Compile(pf, features)
+		if err != nil {
+			t.Fatalf("Compile rejected a generator-valid forest: %v", err)
+		}
+		xs := make([][]float64, 1+int(count)%40)
+		rng := rand.New(rand.NewSource(seed ^ 0x2545f491))
+		for v := range xs {
+			// Each vector reads the fuzz bytes from its own offset, then
+			// falls back to the generator, which deals specials too.
+			x := fuzzVector(seed+int64(v), vecBytes[min(len(vecBytes), 8*v):], features)
+			for i := range x {
+				if rng.Intn(6) == 0 {
+					x[i] = fuzzSpecials[rng.Intn(len(fuzzSpecials))]
+				}
+			}
+			xs[v] = x
+		}
+
+		out := make([]forest.Prediction, len(xs))
+		reversed := make([][]float64, len(xs))
+		for v := range xs {
+			reversed[v] = xs[len(xs)-1-v]
+		}
+		if err := cf.PredictBatch(reversed, out); err != nil { // leaves stale results in every slot
+			t.Fatalf("PredictBatch: %v", err)
+		}
+		if err := cf.PredictBatch(xs, out); err != nil {
+			t.Fatalf("PredictBatch: %v", err)
+		}
+		for v, x := range xs {
+			want, err := pf.Predict(x)
+			if err != nil {
+				t.Fatalf("pointer Predict: %v", err)
+			}
+			if !reflect.DeepEqual(out[v], want) {
+				t.Fatalf("vector %d of %d (%v): batch %+v, pointer %+v", v, len(xs), x, out[v], want)
+			}
+		}
 	})
 }
 

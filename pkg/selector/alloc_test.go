@@ -71,3 +71,41 @@ func TestSelectHealthZeroAllocOverhead(t *testing.T) {
 			instrumented-base, base, instrumented)
 	}
 }
+
+// TestSelectBatchAllocsPerItem is the batch path's allocation budget: a
+// 256-item owned batch of never-seen points on a cached selector — every
+// item misses, walks the forest and is put — may allocate so much per item
+// and no more. What is left is what outlives the call: the decision (with
+// its probabilities and votes inline), its request ID, its cache key and the
+// cache's own entry and list element; everything that dies with the batch
+// comes from per-batch slabs.
+func TestSelectBatchAllocsPerItem(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are unreliable under -race")
+	}
+	const items, runs = 256, 20
+	s := allocSelector(t, false)
+	points := synth.Points(52, items*(runs+1)) // AllocsPerRun calls once more to warm up
+	ctx := context.Background()
+	next := 0
+	perBatch := testing.AllocsPerRun(runs, func() {
+		reqs := make([]BatchRequest, items)
+		for i := range reqs {
+			reqs[i] = BatchRequest{Collective: "bench", Features: points[next]}
+			next++
+		}
+		for i, r := range s.SelectBatchOwned(ctx, reqs) {
+			if r.Err != nil || r.Decision.Cached {
+				t.Fatalf("item %d: err %v, cached %v", i, r.Err, r.Decision != nil && r.Decision.Cached)
+			}
+		}
+	})
+	perItem := perBatch / items
+	t.Logf("all-miss owned batch: %.2f allocations per item", perItem)
+	// 10.1 when a batch was a loop of singles; those five now, plus the
+	// slabs' share.
+	const budget = 5.5
+	if perItem > budget {
+		t.Errorf("all-miss owned batch costs %.2f allocations per item, budget %.1f", perItem, budget)
+	}
+}

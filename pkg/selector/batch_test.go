@@ -4,7 +4,9 @@ import (
 	"context"
 	"strings"
 	"testing"
+	"time"
 
+	"github.com/pml-mpi/pmlmpi/pkg/cache"
 	"github.com/pml-mpi/pmlmpi/pkg/obs"
 	"github.com/pml-mpi/pmlmpi/pkg/synth"
 )
@@ -113,5 +115,56 @@ func TestSelectBatchRecordsMetrics(t *testing.T) {
 	}
 	if got := s.batchSize.Count(); got != 1 {
 		t.Errorf("batch size histogram count = %v, want 1", got)
+	}
+}
+
+// TestBatchLatencyIsAnItemsShareOfItsPhases pins what latency_ns means for a
+// batch item: every item carries the batch's start time; the misses of one
+// collective share one latency (an even share of lookup plus an even share of
+// their forest evaluation), the hits share the lookup share alone, and all
+// of them together stay within the wall time of the call.
+func TestBatchLatencyIsAnItemsShareOfItsPhases(t *testing.T) {
+	o := obs.NewForTest()
+	o.Logger.SetLevel(obs.LevelError)
+	b, err := synth.New(synth.Config{Seed: 31, Trees: 16, Depth: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(b, o, Config{BatchWorkers: 1, Cache: cache.New(cache.Config{}, o.Registry)})
+	reqs := batchOf(synth.Points(32, 100))
+
+	for pass, wantCached := range []bool{false, true} {
+		before := time.Now()
+		results := s.SelectBatch(context.Background(), reqs)
+		wall := time.Since(before)
+
+		byCollective := make(map[string]int64)
+		var sum int64
+		for i, r := range results {
+			if r.Err != nil {
+				t.Fatal(r.Err)
+			}
+			d := r.Decision
+			if d.Cached != wantCached {
+				t.Fatalf("pass %d item %d: cached = %v", pass, i, d.Cached)
+			}
+			if !d.Time.Equal(results[0].Decision.Time) || d.Time.Before(before) {
+				t.Errorf("pass %d item %d: time %v, want the batch's own start %v", pass, i, d.Time, results[0].Decision.Time)
+			}
+			if d.LatencyNS <= 0 {
+				t.Errorf("pass %d item %d: latency %d", pass, i, d.LatencyNS)
+			}
+			if share, seen := byCollective[d.Collective]; seen && share != d.LatencyNS {
+				t.Errorf("pass %d item %d: latency %d, the other %s items have %d", pass, i, d.LatencyNS, d.Collective, share)
+			}
+			byCollective[d.Collective] = d.LatencyNS
+			sum += d.LatencyNS
+		}
+		if wantCached && byCollective["allgather"] != byCollective["alltoall"] {
+			t.Errorf("hits share the lookup phase evenly, got %v", byCollective)
+		}
+		if sum > wall.Nanoseconds() {
+			t.Errorf("pass %d: item latencies sum to %d ns, more than the call's %d ns", pass, sum, wall.Nanoseconds())
+		}
 	}
 }

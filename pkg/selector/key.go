@@ -15,7 +15,13 @@ import (
 // bit pattern so they still key deterministically instead of tripping
 // float→int conversion edge cases.
 func featureKey(gen uint64, collective string, x []float64, quantum float64) string {
-	buf := make([]byte, 0, 8+len(collective)+1+8*len(x))
+	// Keys of the canonical feature space fit the stack buffer, so the
+	// returned string is the only allocation.
+	var stack [160]byte
+	buf := stack[:0]
+	if need := 8 + len(collective) + 1 + 8*len(x); need > len(stack) {
+		buf = make([]byte, 0, need)
+	}
 	var tmp [8]byte
 	binary.LittleEndian.PutUint64(tmp[:], gen)
 	buf = append(buf, tmp[:]...)

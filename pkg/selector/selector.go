@@ -17,6 +17,7 @@ import (
 	"github.com/pml-mpi/pmlmpi/pkg/bundle"
 	"github.com/pml-mpi/pmlmpi/pkg/cache"
 	"github.com/pml-mpi/pmlmpi/pkg/forest"
+	"github.com/pml-mpi/pmlmpi/pkg/forest/compiled"
 	"github.com/pml-mpi/pmlmpi/pkg/modelhealth"
 	"github.com/pml-mpi/pmlmpi/pkg/obs"
 )
@@ -50,7 +51,14 @@ type Decision struct {
 	// LowMargin flags a margin below the model-health warn threshold —
 	// the forest nearly tied two algorithms. Always false when no
 	// observatory is configured.
-	LowMargin bool  `json:"low_margin,omitempty"`
+	LowMargin bool `json:"low_margin,omitempty"`
+	// LatencyNS is what the decision cost inside the selector. For a single
+	// Select it is measured: extraction through lookup for a cache hit, the
+	// forest walk for a miss. For a batch item it is the item's amortised
+	// share of the phases it went through (see SelectBatch): an even share of
+	// the lookup phase, plus — for a miss — an even share of its
+	// collective's forest evaluation, so the items of a batch sum to the
+	// wall time of those phases.
 	LatencyNS int64 `json:"latency_ns"`
 	// Generation is the model generation that produced this decision (0
 	// when serving from a static, registry-less source). Because cache keys
@@ -86,19 +94,21 @@ type Config struct {
 	// Algorithms overrides DefaultAlgorithms when non-nil.
 	Algorithms map[string][]string
 	// Cache, when non-nil, memoizes decisions keyed by the collective name
-	// plus the quantized feature vector. Cached Decision payloads (probs,
-	// votes, features) are shared across callers and must not be mutated.
+	// plus the quantized feature vector. The cache keeps the very Decision a
+	// miss returns and shares its payloads (probs, votes, features) with
+	// every later hit, so returned decisions must not be mutated.
 	Cache *cache.Cache
 	// CacheQuantum is the quantization step applied to each feature before
 	// key derivation (default DefaultCacheQuantum).
 	CacheQuantum float64
-	// BatchWorkers bounds SelectBatch's worker pool (default GOMAXPROCS).
+	// BatchWorkers bounds SelectBatch's worker pool (default GOMAXPROCS):
+	// the one place batch parallelism is configured.
 	BatchWorkers int
 	// ParallelTreeThreshold enables concurrent tree evaluation for forests
 	// with at least this many trees (0 disables it — the default — since
 	// goroutine fan-out only pays off for large ensembles). It only applies
-	// to the pointer evaluator; the compiled evaluator parallelizes by
-	// vector in PredictBatch instead.
+	// to the pointer evaluator; the compiled evaluator never spawns
+	// goroutines — a batch is split across BatchWorkers before it gets there.
 	ParallelTreeThreshold int
 	// ForestEval picks the forest evaluator: EvalCompiled (the default,
 	// used when empty) or EvalPointer. Both produce bit-identical
@@ -387,41 +397,28 @@ func (s *Selector) AlgorithmName(collective string, class int) string {
 // pre-bound counters, a structured log record, and — when the request is
 // sampled or the log level is debug — one span per stage.
 func (s *Selector) Select(ctx context.Context, collective string, features map[string]float64) (*Decision, error) {
-	return s.run(ctx, collective, features, selectCall{})
+	return s.run(ctx, collective, features, false)
 }
 
 // SelectOwned is Select for callers that hand the feature map over: the
 // decision keeps features instead of copying it, so the caller must not
 // modify the map afterwards. It suits maps decoded for this one call.
 func (s *Selector) SelectOwned(ctx context.Context, collective string, features map[string]float64) (*Decision, error) {
-	return s.run(ctx, collective, features, selectCall{owned: true})
+	return s.run(ctx, collective, features, true)
 }
 
-// selectCall carries what differs between the entry points of one
-// selection: Select, SelectOwned and the items of a batch.
-type selectCall struct {
-	// reqID names the decision; empty means the ID in ctx, or a fresh one.
-	reqID string
-	// owned lets the decision keep the feature map instead of copying it.
-	owned bool
-	// batched marks a batch item: the batch logs one record for all of
-	// them, so the item writes no "selection" line of its own.
-	batched bool
-}
-
-func (c selectCall) requestID(ctx context.Context) string {
-	if c.reqID != "" {
-		return c.reqID
-	}
+// requestID names a call: the ID in ctx, or a fresh one.
+func requestID(ctx context.Context) string {
 	if id := obs.RequestIDFrom(ctx); id != "" {
 		return id
 	}
 	return obs.NewRequestID()
 }
 
-// run is one selection plus SLO feeding.
-func (s *Selector) run(ctx context.Context, collective string, features map[string]float64, call selectCall) (*Decision, error) {
-	d, err := s.doSelect(ctx, collective, features, call)
+// run is one selection plus SLO feeding; owned lets the decision keep the
+// feature map instead of copying it.
+func (s *Selector) run(ctx context.Context, collective string, features map[string]float64, owned bool) (*Decision, error) {
+	d, err := s.doSelect(ctx, collective, features, owned)
 	if s.slo == nil {
 		return d, err
 	}
@@ -437,25 +434,25 @@ func (s *Selector) run(ctx context.Context, collective string, features map[stri
 }
 
 // doSelect is the selection path proper.
-func (s *Selector) doSelect(ctx context.Context, collective string, features map[string]float64, call selectCall) (*Decision, error) {
+func (s *Selector) doSelect(ctx context.Context, collective string, features map[string]float64, owned bool) (*Decision, error) {
 	b, gen := s.src.Active()
 	if b == nil {
 		s.selErrors.Inc(collective, "no_active_bundle")
 		return nil, fmt.Errorf("no active model bundle (registry has nothing promoted)")
 	}
 	if s.cache == nil {
-		d, _, err := s.selectCold(ctx, b, gen, collective, features, nil, time.Time{}, 0, call)
+		e, err := s.selectCold(ctx, b, gen, collective, features, nil, time.Time{}, 0, owned)
 		if err != nil {
 			return nil, err
 		}
-		s.offerShadow(collective, features, d)
-		return d, nil
+		s.offerShadow(collective, features, &e.d)
+		return &e.d, nil
 	}
 	start := time.Now()
 	c, ok := b.Collective(collective)
 	if !ok {
 		s.selErrors.Inc(collective, "unknown_collective")
-		return nil, fmt.Errorf("unknown collective %q (bundle has %v)", collective, b.CollectiveNames())
+		return nil, unknownCollective(b, collective)
 	}
 	// Stack buffer for the feature vector: no allocation on the hit path.
 	// Feature subsets never exceed the canonical space (currently 14
@@ -474,24 +471,12 @@ func (s *Selector) doSelect(ctx context.Context, collective string, features map
 	}
 	extractDur := time.Since(extractStart)
 	key := featureKey(gen, collective, x, s.quantum)
-	if v, ok := s.cache.Get(key); ok {
-		e := v.(cachedEntry)
+	// A pending entry (see entry) is a batch's reservation, not yet a
+	// decision: this request computes its own and takes the key over.
+	if v, ok := s.cache.Get(key); ok && v.(*entry).ready.Load() {
 		elapsed := time.Since(start)
-		// Per-request envelope around the shared cached payload; the
-		// Features/Probs/Votes slices are shared and read-only.
-		d := e.d
-		d.Time = start
-		d.RequestID = call.requestID(ctx)
-		d.LatencyNS = elapsed.Nanoseconds()
-		d.Cached = true
-		e.in.sel.Inc()
-		e.in.hit.Observe(elapsed.Seconds())
-		e.in.cell.Record(elapsed.Seconds(), true)
-		if s.health != nil {
-			s.health.RecordDecision(gen, collective, d.Algorithm,
-				c.Features, x, d.Margin, true, d.LatencyNS)
-		}
-		s.ring.add(d)
+		d := new(Decision)
+		s.completeHit(d, v.(*entry), c, gen, collective, x, requestID(ctx), start, elapsed)
 		// The warm path must not be dark: when head sampling picks this
 		// request, retain a single-span trace. SampleLeaf is one atomic
 		// load when sampling is off, so unsampled hits pay ~nothing.
@@ -502,18 +487,22 @@ func (s *Selector) doSelect(ctx context.Context, collective string, features map
 				"class":      d.Class,
 			})
 		}
-		s.offerShadow(collective, features, &d)
-		return &d, nil
+		s.offerShadow(collective, features, d)
+		return d, nil
 	}
 	// The forest may fan x out to goroutines, which would move xbuf to the
 	// heap for hits too; a miss pays for its own copy instead.
-	d, in, err := s.selectCold(ctx, b, gen, collective, features, append([]float64(nil), x...), extractStart, extractDur, call)
+	e, err := s.selectCold(ctx, b, gen, collective, features, append([]float64(nil), x...), extractStart, extractDur, owned)
 	if err != nil {
 		return nil, err
 	}
-	s.cache.Put(key, cachedEntry{d: *d, in: in})
-	s.offerShadow(collective, features, d)
-	return d, nil
+	s.cache.Put(key, e)
+	s.offerShadow(collective, features, &e.d)
+	return &e.d, nil
+}
+
+func unknownCollective(b *bundle.Bundle, collective string) error {
+	return fmt.Errorf("unknown collective %q (bundle has %v)", collective, b.CollectiveNames())
 }
 
 // offerShadow forwards a completed decision to the shadow sink, if one is
@@ -525,12 +514,87 @@ func (s *Selector) offerShadow(collective string, features map[string]float64, d
 	}
 }
 
-// cachedEntry is the decision-cache payload: the memoized decision plus
-// its pre-resolved metric series and analytics cell, so hits touch neither
-// the label-join path nor the series map.
-type cachedEntry struct {
-	d  Decision
-	in *decisionInstr
+// inlineClasses is how many classes an entry holds probabilities and votes
+// for without a second allocation; every collective the paper and the
+// performance model know has fewer.
+const inlineClasses = 8
+
+// entry is the one allocation behind a fresh decision: the Decision the
+// caller receives, inline room for its probabilities and votes, and the
+// pre-resolved metric series and analytics cell a later hit reports into.
+// It doubles as the decision-cache payload — the cache stores the pointer,
+// so a miss boxes nothing — which is why a returned decision is read-only:
+// hits copy it into a per-request envelope, nobody writes to it again.
+//
+// A batch puts an entry when its lookup misses and completes it when the
+// batch finishes, so the cache can hold an entry that is still pending.
+// ready flips, once, when the decision is complete; a lookup that finds a
+// pending entry has no decision to copy yet and goes on as a miss.
+type entry struct {
+	d     Decision
+	in    *decisionInstr
+	ready atomic.Bool
+	probs [inlineClasses]float64
+	votes [inlineClasses]int
+}
+
+// prediction returns an empty prediction backed by e's inline room, for an
+// evaluator that fills predictions in place.
+func (e *entry) prediction() forest.Prediction {
+	return forest.Prediction{Probs: e.probs[:0], Votes: e.votes[:0]}
+}
+
+// completeCold makes e the decision for pred, reports it everywhere a cold
+// decision is counted — the bound series, analytics, model health and the
+// ring — and marks e ready for cache hits. features is the map the decision
+// keeps; x is its extracted vector, which nothing retains.
+func (s *Selector) completeCold(e *entry, c *bundle.Collective, gen uint64, collective string, features map[string]float64, x []float64, pred forest.Prediction, reqID string, start time.Time, latency time.Duration) {
+	in := s.instruments(collective, pred.Class)
+	in.sel.Inc()
+	in.cold.Observe(latency.Seconds())
+	in.cell.Record(latency.Seconds(), false)
+
+	margin := forest.Margin(pred.Probs)
+	e.in = in
+	e.d = Decision{
+		Time:       start,
+		RequestID:  reqID,
+		Collective: collective,
+		Features:   features,
+		Algorithm:  in.algo,
+		Class:      pred.Class,
+		Probs:      pred.Probs,
+		Votes:      pred.Votes,
+		Margin:     margin,
+		LatencyNS:  latency.Nanoseconds(),
+		Generation: gen,
+	}
+	if s.health != nil {
+		e.d.LowMargin = margin < s.health.MarginWarn()
+		s.health.RecordDecision(gen, collective, in.algo,
+			c.Features, x, margin, false, e.d.LatencyNS)
+	}
+	s.ring.add(e.d)
+	e.ready.Store(true)
+}
+
+// completeHit makes d the per-request envelope around the cached decision
+// in e — the Features/Probs/Votes payloads stay shared and read-only — and
+// reports the hit through e's pre-bound series, model health and the ring.
+func (s *Selector) completeHit(d *Decision, e *entry, c *bundle.Collective, gen uint64, collective string, x []float64, reqID string, start time.Time, elapsed time.Duration) {
+	*d = e.d
+	d.Time = start
+	d.RequestID = reqID
+	d.LatencyNS = elapsed.Nanoseconds()
+	d.Cached = true
+	e.in.sel.Inc()
+	e.in.hit.Observe(elapsed.Seconds())
+	e.in.cell.Record(elapsed.Seconds(), true)
+	if s.health != nil {
+		s.health.RecordDecision(gen, collective, d.Algorithm,
+			c.Features, x, d.Margin, true, d.LatencyNS)
+	}
+	s.ring.add(*d)
 }
 
 // selectCold is the forest-walking selection path, evaluating against the
@@ -541,9 +605,9 @@ type cachedEntry struct {
 // cache key, so instead of a live feature.extract span its measured timing
 // (extractStart/extractDur) is backfilled into the sampled trace, keeping
 // miss span trees as complete as cache-less ones. It returns the decision
-// with the bound series it reported into.
-func (s *Selector) selectCold(ctx context.Context, b *bundle.Bundle, gen uint64, collective string, features map[string]float64, x []float64, extractStart time.Time, extractDur time.Duration, call selectCall) (*Decision, *decisionInstr, error) {
-	reqID := call.requestID(ctx)
+// as the entry the cache keeps.
+func (s *Selector) selectCold(ctx context.Context, b *bundle.Bundle, gen uint64, collective string, features map[string]float64, x []float64, extractStart time.Time, extractDur time.Duration, owned bool) (*entry, error) {
+	reqID := requestID(ctx)
 	ctx, decide := s.stDecide.Start(ctx, reqID)
 	if decide != nil {
 		decide.SetAttr("collective", collective)
@@ -554,7 +618,7 @@ func (s *Selector) selectCold(ctx context.Context, b *bundle.Bundle, gen uint64,
 	if !ok {
 		s.stDecide.End(decide, time.Since(start))
 		s.selErrors.Inc(collective, "unknown_collective")
-		return nil, nil, fmt.Errorf("unknown collective %q (bundle has %v)", collective, b.CollectiveNames())
+		return nil, unknownCollective(b, collective)
 	}
 
 	evalStart := start
@@ -567,82 +631,71 @@ func (s *Selector) selectCold(ctx context.Context, b *bundle.Bundle, gen uint64,
 		if err != nil {
 			s.stDecide.End(decide, evalStart.Sub(start))
 			s.selErrors.Inc(collective, "missing_feature")
-			return nil, nil, err
+			return nil, err
 		}
 	} else if decide != nil && s.o.Tracer.SampleLeaf(ctx) {
 		s.o.Tracer.RecordLeaf(ctx, "feature.extract", extractStart, extractDur, nil)
 	}
 
 	eval := s.stEval.Child(decide)
-	pred, err := s.predict(c, x)
+	e := new(entry)
+	pred := e.prediction()
+	err := s.predictInto(c, x, &pred)
 	end := time.Now()
 	s.stEval.End(eval, end.Sub(evalStart))
 	elapsed := end.Sub(start)
 	if err != nil {
 		s.stDecide.End(decide, elapsed)
 		s.selErrors.Inc(collective, "forest_error")
-		return nil, nil, fmt.Errorf("collective %q: %w", collective, err)
+		return nil, fmt.Errorf("collective %q: %w", collective, err)
 	}
 	if decide != nil {
 		decide.SetAttr("class", pred.Class)
 	}
 	s.stDecide.End(decide, elapsed)
 
-	in := s.instruments(collective, pred.Class)
-	in.sel.Inc()
-	in.cold.Observe(elapsed.Seconds())
-	in.cell.Record(elapsed.Seconds(), false)
-
-	if !call.owned {
+	if !owned {
 		features = copyFeatures(features)
 	}
-	margin := forest.Margin(pred.Probs)
-	d := &Decision{
-		Time:       start,
-		RequestID:  reqID,
-		Collective: collective,
-		Features:   features,
-		Algorithm:  in.algo,
-		Class:      pred.Class,
-		Probs:      pred.Probs,
-		Votes:      pred.Votes,
-		Margin:     margin,
-		LatencyNS:  elapsed.Nanoseconds(),
-		Generation: gen,
-	}
-	if s.health != nil {
-		d.LowMargin = margin < s.health.MarginWarn()
-		s.health.RecordDecision(gen, collective, in.algo,
-			c.Features, x, margin, false, d.LatencyNS)
-	}
-	s.ring.add(*d)
+	s.completeCold(e, c, gen, collective, features, x, pred, reqID, start, elapsed)
 
-	if !call.batched && s.o.Logger.Enabled(obs.LevelInfo) {
+	if s.o.Logger.Enabled(obs.LevelInfo) {
 		s.o.Logger.Info("selection",
 			"request_id", reqID,
 			"collective", collective,
-			"algorithm", in.algo,
+			"algorithm", e.d.Algorithm,
 			"class", pred.Class,
 			"latency_us", float64(elapsed.Microseconds()))
 	}
-	return d, in, nil
+	return e, nil
 }
 
-// predict runs the forest through the configured evaluator. In compiled
-// mode (the default) it uses the collective's SoA forest, falling back to
-// the pointer walk only if compilation failed for an in-memory bundle. In
-// pointer mode it keeps the reference walk, fanning tree evaluation out
-// across goroutines when the ensemble is large enough for that to pay off.
-func (s *Selector) predict(c *bundle.Collective, x []float64) (forest.Prediction, error) {
-	if s.forestEval != EvalPointer {
-		if cf := c.Compiled(); cf != nil {
-			return cf.Predict(x)
-		}
+// predictInto runs the forest through the configured evaluator, filling p
+// in place where the evaluator can. In compiled mode (the default) it uses
+// the collective's SoA forest, falling back to the pointer walk only if
+// compilation failed for an in-memory bundle. In pointer mode it keeps the
+// reference walk, fanning tree evaluation out across goroutines when the
+// ensemble is large enough for that to pay off.
+func (s *Selector) predictInto(c *bundle.Collective, x []float64, p *forest.Prediction) error {
+	if cf := s.compiledForest(c); cf != nil {
+		return cf.PredictInto(x, p)
 	}
+	var err error
 	if s.parallelTrees > 0 && len(c.Forest.Trees) >= s.parallelTrees {
-		return c.Forest.PredictWith(x, s.treeWorkers)
+		*p, err = c.Forest.PredictWith(x, s.treeWorkers)
+	} else {
+		*p, err = c.Forest.Predict(x)
 	}
-	return c.Forest.Predict(x)
+	return err
+}
+
+// compiledForest returns the compiled forest to evaluate c with, or nil
+// when the pointer walk is configured or compilation failed.
+func (s *Selector) compiledForest(c *bundle.Collective) *compiled.Forest {
+	if s.forestEval == EvalPointer {
+		return nil
+	}
+	return c.Compiled()
 }
 
 // CacheStats snapshots the decision cache's counters; ok is false when no

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -174,12 +175,14 @@ func TestSingleColdSelectStillLogsOneSelectionLine(t *testing.T) {
 	}
 }
 
-// TestSampledBatchKeepsFullSpanTree: amortising the unsampled path must not
-// thin out what a sampled request retains.
+// TestSampledBatchKeepsFullSpanTree: a sampled batch narrates itself once —
+// the batch span with one lookup, one forest.eval per collective (saying how
+// many items it walked) and one finish beneath it, not three spans per item
+// — while the per-item stage series count every item as they do unsampled.
 func TestSampledBatchKeepsFullSpanTree(t *testing.T) {
 	s, o, _ := newLoggedSelector(t, 8)
 	o.Traces.SetSampleRate(1)
-	const items = 3
+	const items = 5
 	s.SelectBatch(context.Background(), batchOf(synth.Points(63, items)))
 
 	list := o.Traces.List(0)
@@ -192,22 +195,31 @@ func TestSampledBatchKeepsFullSpanTree(t *testing.T) {
 		byID[sp.SpanID] = sp
 	}
 	children := make(map[string]int) // "parent name → child name" edges
+	evalItems := make(map[string]int)
 	for _, sp := range tr.Spans {
-		if sp.ParentID != "" {
-			children[byID[sp.ParentID].Name+" → "+sp.Name]++
+		if sp.ParentID == "" {
+			continue
+		}
+		children[byID[sp.ParentID].Name+" → "+sp.Name]++
+		if sp.Name == "forest.eval" {
+			evalItems[sp.Attrs["collective"].(string)] += sp.Attrs["items"].(int)
 		}
 	}
-	for edge, want := range map[string]int{
-		"selector.batch → selector.decide":  items,
-		"selector.decide → forest.eval":     items,
-		"selector.decide → feature.extract": items,
-	} {
-		if children[edge] != want {
-			t.Errorf("trace has %d %q edges, want %d (all edges: %v)", children[edge], edge, want, children)
-		}
+	want := map[string]int{
+		"selector.batch → selector.lookup": 1,
+		"selector.batch → forest.eval":     2, // batchOf alternates two collectives
+		"selector.batch → selector.finish": 1,
 	}
-	if got := spanCount(o, "selector.decide"); got != items {
-		t.Errorf("sampled path observed selector.decide %d times, want %d", got, items)
+	if !reflect.DeepEqual(children, want) {
+		t.Errorf("trace edges = %v, want %v", children, want)
+	}
+	if want := map[string]int{"allgather": 3, "alltoall": 2}; !reflect.DeepEqual(evalItems, want) {
+		t.Errorf("forest.eval items by collective = %v, want %v", evalItems, want)
+	}
+	for span, want := range map[string]uint64{"selector.batch": 1, "selector.decide": items, "forest.eval": items} {
+		if got := spanCount(o, span); got != want {
+			t.Errorf("sampled path observed %s %d times, want %d", span, got, want)
+		}
 	}
 }
 
