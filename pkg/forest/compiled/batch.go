@@ -8,11 +8,11 @@ import (
 	"github.com/pml-mpi/pmlmpi/pkg/forest"
 )
 
-// lanes is the lockstep width of the walks: a batch runs eight vectors down
-// each tree together, a single vector eight trees at a time. Eight
-// independent load chains cover the load-compare-select latency of a
-// descent step, and eight positions still fit the integer register file
-// next to the two base pointers.
+// lanes is the lockstep width of the batch walk: eight vectors go down each
+// tree together. Eight independent load chains cover the
+// load-compare-select latency of a branch-free descent step, and eight
+// positions still fit the integer register file next to the two base
+// pointers.
 const lanes = 8
 
 // blockLanes is how many lane groups share one pass over the forest. Within
@@ -26,13 +26,13 @@ const blockLanes = 8
 // the kernel's stack scratch; wider forests take one heap scratch per call.
 const stackFeatures = 16
 
-// step is the one descent step every evaluator in this package takes: from
-// node n at arena byte offset p, go left (the next slot) when x <= n.t and
-// right (n's packed distance further) otherwise — NaN included, exactly the
-// pointer walk's predicate. It is written as arithmetic, not as a branch:
-// the comparison becomes a 0/1 flag (SETcc) and the flag masks the distance
-// in or out, so the CPU never has to guess which way a split goes. A parked
-// leaf (NaN threshold, distance -nodeSize) steps onto itself.
+// step is the batch walk's descent step: from node n at arena byte offset
+// p, go left (the next slot) when x <= n.t and right (n's packed distance
+// further) otherwise — NaN included, exactly the pointer walk's predicate.
+// It is written as arithmetic, not as a branch: the comparison becomes a 0/1
+// flag (SETcc) and the flag masks the distance in or out, so the CPU never
+// has to guess which way a split goes. A parked leaf (NaN threshold,
+// distance -nodeSize) steps onto itself.
 func step(n node, x float64, p uintptr) uintptr {
 	var le uintptr
 	if x <= n.t {
@@ -47,6 +47,9 @@ func nodeAt(np unsafe.Pointer, p uintptr) node {
 	return *(*node)(unsafe.Add(np, p))
 }
 
+// rootAt returns the arena byte offset of the node at index root.
+func rootAt(root int32) uintptr { return uintptr(uint32(root)) * nodeSize }
+
 // laneFeature reads lane k's value of the feature n splits on from an
 // interleaved block: xt[f*lanes+k] is vector k's feature f, so one base
 // pointer serves all eight lanes, the lane is a constant displacement and
@@ -60,7 +63,7 @@ func laneFeature(xt unsafe.Pointer, n node, k uintptr) float64 {
 // they stop on in lw. Parked leaves make the loop guard-free: a lane that
 // has arrived keeps stepping in place until the deepest lane is done.
 func walkLanes(np, xt unsafe.Pointer, root int32, lw *[lanes]uint64) {
-	i0 := uintptr(uint32(root)) * nodeSize
+	i0 := rootAt(root)
 	i1, i2, i3, i4, i5, i6, i7 := i0, i0, i0, i0, i0, i0, i0
 	for {
 		n0, n1, n2, n3 := nodeAt(np, i0), nodeAt(np, i1), nodeAt(np, i2), nodeAt(np, i3)
@@ -88,8 +91,8 @@ func walkLanes(np, xt unsafe.Pointer, root int32, lw *[lanes]uint64) {
 // branch-free step, while each vector's accumulation still happens in tree
 // order, so every result is bit-identical to a standalone Predict on the
 // same vector. The vectors left over after the last full group take the
-// single-vector walk, which runs the same step eight trees at a time: a
-// group with idle lanes would cost as much as a full one.
+// single-vector walk: a group with idle lanes would cost as much as a full
+// one.
 //
 // The batch runs on the calling goroutine — callers that want parallelism
 // split the batch (selector.Config.BatchWorkers) — and, with out's Probs and

@@ -243,6 +243,44 @@ func TestPredictBatchMatchesSingle(t *testing.T) {
 	}
 }
 
+// TestSplitPredicateEdges pins the one comparison both walks make, x <= t,
+// where a careless rewrite goes wrong — equality, the two zeros, NaN and the
+// infinities on either side — on the single-vector walk (the jump) and the
+// batch kernel's lanes (the arithmetic step) alike, against the pointer walk.
+func TestSplitPredicateEdges(t *testing.T) {
+	values := []float64{math.NaN(), math.Inf(-1), -1.5, math.Copysign(0, -1), 0,
+		math.SmallestNonzeroFloat64, 1.5, math.Nextafter(1.5, 2), math.Inf(1)}
+	for _, threshold := range values {
+		pf := &forest.Forest{NClasses: 2, Trees: []forest.Tree{{Nodes: []forest.Node{
+			{F: 0, T: threshold, L: 1, R: 2}, {F: -1, D: []float64{1, 0}}, {F: -1, D: []float64{0, 1}},
+		}}}}
+		cf, err := compiled.Compile(pf, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		xs := make([][]float64, 0, len(values)) // one lane group and a one-vector tail
+		for _, x := range values {
+			xs = append(xs, []float64{x})
+		}
+		out := make([]forest.Prediction, len(xs))
+		if err := cf.PredictBatch(xs, out); err != nil {
+			t.Fatal(err)
+		}
+		for v, x := range xs {
+			want, err := pf.Predict(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := cf.Predict(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			samePrediction(t, fmt.Sprintf("single: %v <= %v", x[0], threshold), got, want)
+			samePrediction(t, fmt.Sprintf("batch: %v <= %v", x[0], threshold), out[v], want)
+		}
+	}
+}
+
 // TestPredictBatchValidates checks the batch entry point's error paths.
 func TestPredictBatchValidates(t *testing.T) {
 	b := synth.MustNew(synth.Config{Seed: 16, Trees: 2, Depth: 2, Features: 4, Classes: 2})

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/pml-mpi/pmlmpi/pkg/bundle"
@@ -28,33 +29,35 @@ type BatchResult struct {
 // over the whole batch:
 //
 //   - lookup resolves each item's collective, extracts its feature vector
-//     and asks the decision cache; a miss reserves its key there at once;
+//     and asks the decision cache;
 //   - evaluate walks the forest for the misses, grouped by collective — one
 //     compiled.PredictBatch per collective, eight vectors in lockstep;
-//   - finish builds the decisions and reports each one: counters, latency
-//     series, model health, the ring, the shadow and SLO sinks.
+//   - finish builds the decisions, puts the fresh ones in the cache and
+//     reports each one: counters, latency series, model health, the ring,
+//     the shadow and SLO sinks.
 //
 // Results are positional: results[i] answers reqs[i]. Item failures are
-// reported per item and never abort the batch; a cancelled context fails
-// the items whose lookup had not started.
+// reported per item and never abort the batch. The context is looked at
+// once per item in lookup and once per collective in evaluate: cancelling
+// it fails the items whose lookup had not started and the misses whose
+// forest walk had not, with the context's error.
 //
-// The decision cache sees exactly the gets and puts, in exactly the order,
-// that selecting the items one by one would give it: a miss puts the entry
-// its decision will live in straight away, still pending (see entry), and
-// finish completes it. So a key that occurs twice in one batch comes back
-// Cached the second time, with one miss and one hit counted; and what a
-// full cache evicts, and when, does not depend on how requests were
-// batched.
+// A key that occurs twice in one batch is evaluated once: the later
+// occurrence waits for the first one's put and then asks the cache, so it
+// comes back Cached with one miss and one hit counted, as it would from two
+// Selects in a row. Otherwise the batch's gets all come before its puts.
 //
-// With Config.BatchWorkers > 1 the batch is cut into contiguous chunks and
-// each chunk runs the three phases on its own goroutine.
+// With Config.BatchWorkers > 1 a batch larger than batchChunk items is cut
+// into contiguous chunks, which the pool's workers pull one at a time; each
+// chunk runs the three phases by itself, so two items with the same key in
+// different chunks race for the put, as two concurrent Selects would.
 //
 // Telemetry is per item where it is state — each decision gets its own
 // request ID, ring entry, counters, SLO, model-health and shadow sample —
 // and per call where it is narration: one "selection_batch" log record
 // instead of one "selection" line per cold item, and a sampled trace of one
 // batch span with a lookup, a forest.eval per collective and a finish
-// beneath it. The clock is read per phase, not per item: an item's
+// beneath it (per chunk, when the pool cut the batch). The clock is read per phase, not per item: an item's
 // LatencyNS, and its one observation in each latency and stage series, is
 // its even share of the phases it went through (see Decision.LatencyNS),
 // so the observations of a batch sum to the phases' wall time.
@@ -68,10 +71,13 @@ func (s *Selector) SelectBatchOwned(ctx context.Context, reqs []BatchRequest) []
 	return s.selectBatch(ctx, reqs, true)
 }
 
-// minBatchChunk is the fewest items worth a goroutine of their own: below
-// two lane groups of the batch forest kernel, a chunk spends more on
-// scheduling than it gains from running beside its neighbours.
-const minBatchChunk = 16
+// batchChunk is how many items a pool worker takes at a time. Workers pull
+// chunks instead of owning a fixed share of the batch, so a worker the OS
+// deschedules holds up one chunk while the others finish the rest — on a
+// busy host a batch cut into fixed halves waits, whole, for its slower half.
+// A chunk is still four lane groups of the batch forest kernel, and a batch
+// no larger than one chunk stays on the calling goroutine.
+const batchChunk = 32
 
 func (s *Selector) selectBatch(ctx context.Context, reqs []BatchRequest, owned bool) []BatchResult {
 	results := make([]BatchResult, len(reqs))
@@ -95,20 +101,26 @@ func (s *Selector) selectBatch(ctx context.Context, reqs []BatchRequest, owned b
 		run.do()
 	}
 	workers := s.batchWorkers
-	if most := (len(reqs) + minBatchChunk - 1) / minBatchChunk; workers > most {
+	if most := (len(reqs) + batchChunk - 1) / batchChunk; workers > most {
 		workers = most
 	}
 	if workers <= 1 {
 		phases(0, len(reqs))
 	} else {
-		chunk := (len(reqs) + workers - 1) / workers
+		var next atomic.Int64
 		var wg sync.WaitGroup
-		for lo := 0; lo < len(reqs); lo += chunk {
+		for w := 0; w < workers; w++ {
 			wg.Add(1)
-			go func(lo, hi int) {
+			go func() {
 				defer wg.Done()
-				phases(lo, hi)
-			}(lo, min(lo+chunk, len(reqs)))
+				for {
+					lo := int(next.Add(batchChunk)) - batchChunk
+					if lo >= len(reqs) {
+						return
+					}
+					phases(lo, min(lo+batchChunk, len(reqs)))
+				}
+			}()
 		}
 		wg.Wait()
 	}
@@ -119,7 +131,7 @@ func (s *Selector) selectBatch(ctx context.Context, reqs []BatchRequest, owned b
 }
 
 // batchRun is the three phases over one chunk of a batch: the whole batch,
-// or one worker's contiguous share of it.
+// or batchChunk contiguous items of it that a pool worker pulled.
 type batchRun struct {
 	s       *Selector
 	ctx     context.Context
@@ -132,10 +144,11 @@ type batchRun struct {
 	gen   uint64
 	items []batchItem
 
-	start       time.Time     // of the lookup phase; every decision's Time
-	lookupShare time.Duration // one item's share of the lookup phase
-	hits        int           // items answered by a cached decision, complete or pending
-	misses      []int32       // items that walk the forest, grouped by collective
+	start       time.Time        // of the lookup phase; every decision's Time
+	lookupShare time.Duration    // one item's share of the lookup phase
+	missed      map[string]int32 // cache key → the first item of the run that missed on it
+	hits        int              // items answered by a cached decision, repeats included
+	misses      []int32          // items that walk the forest, grouped by collective
 	groups      []evalGroup
 	preds       []forest.Prediction // the misses' predictions, parallel to misses
 }
@@ -144,7 +157,10 @@ type batchRun struct {
 type batchItem struct {
 	c     *bundle.Collective // nil: the bundle has no such collective
 	x     []float64          // the extracted vector, cut from the run's slab
-	e     *entry             // a hit's cached decision, or the one a miss reserved
+	key   string             // a miss's cache key, for its put
+	e     *entry             // a hit's cached decision, or the one a miss is building
+	first int32              // a repeat's earlier item with the same key
+	group int32              // a miss's evaluation group
 	state itemState
 }
 
@@ -152,8 +168,9 @@ type itemState uint8
 
 const (
 	itemFailed itemState = iota // results[i].Err says why
-	itemHit                     // the cache holds its decision, complete or still pending
+	itemHit                     // the cache holds its decision
 	itemMiss                    // walks the forest in evaluate
+	itemRepeat                  // an earlier item of the run missed on the same key
 )
 
 // evalGroup is the misses of one collective: misses[lo:hi], evaluated by
@@ -162,7 +179,10 @@ type evalGroup struct {
 	c      *bundle.Collective
 	lo, hi int
 	share  time.Duration // one item's share of the group's evaluation
-	err    error
+	err    error         // what stopped the group: the evaluator's error, or the context's
+	// cancelled says err is the context's: it was done before the group's
+	// turn came, and nothing was walked.
+	cancelled bool
 }
 
 // do runs the three phases.
@@ -205,9 +225,8 @@ func (r *batchRun) fail(i int, reason string, err error) {
 	}
 }
 
-// lookup resolves every item as far as the cache can: failed, hit or miss.
-// Vectors are cut from one slab; every miss gets the entry its decision
-// will live in, and with a cache puts it at once, pending.
+// lookup resolves every item as far as the cache can: failed, hit, miss or
+// the repeat of an earlier miss. Vectors are cut from one slab.
 func (r *batchRun) lookup() {
 	s := r.s
 	floats := 0
@@ -239,20 +258,30 @@ func (r *batchRun) lookup() {
 			continue
 		}
 		key := featureKey(r.gen, req.Collective, it.x, s.quantum)
+		if first, ok := r.missed[key]; ok {
+			// Asking the cache now would count a second miss for a decision
+			// that is on its way: finish asks once the first one is put.
+			it.state, it.first = itemRepeat, first
+			r.hits++
+			continue
+		}
 		if v, ok := s.cache.Get(key); ok {
 			it.state, it.e = itemHit, v.(*entry)
 			r.hits++
 			continue
 		}
-		it.state, it.e = itemMiss, new(entry)
-		s.cache.Put(key, it.e)
+		it.state, it.e, it.key = itemMiss, new(entry), key
+		if r.missed == nil {
+			r.missed = make(map[string]int32, len(r.reqs)-i)
+		}
+		r.missed[key] = int32(i)
 	}
 }
 
 // evaluate walks the forest for every miss, one PredictBatch per
 // collective, predicting straight into the entries the decisions will live
-// in. It reads the clock once per collective — from is when lookup ended —
-// and returns when the last group finished.
+// in. It reads the clock and looks at the context once per collective —
+// from is when lookup ended — and returns when the last group finished.
 func (r *batchRun) evaluate(from time.Time) time.Time {
 	s := r.s
 	n := 0
@@ -278,12 +307,17 @@ func (r *batchRun) evaluate(from time.Time) time.Time {
 		g.lo = len(r.misses)
 		for i := range r.items {
 			if it := &r.items[i]; it.state == itemMiss && it.c == g.c {
+				it.group = int32(gi)
 				r.misses = append(r.misses, int32(i))
 				r.preds = append(r.preds, it.e.prediction())
 				xs = append(xs, it.x)
 			}
 		}
 		g.hi = len(r.misses)
+		if g.err = r.ctx.Err(); g.err != nil {
+			g.cancelled = true
+			continue
+		}
 		g.err = s.predictGroup(g.c, xs[g.lo:g.hi], r.preds[g.lo:g.hi])
 		end := time.Now()
 		g.share = end.Sub(from) / time.Duration(g.hi-g.lo)
@@ -313,45 +347,62 @@ func (s *Selector) predictGroup(c *bundle.Collective, xs [][]float64, preds []fo
 }
 
 // finish turns the phases' outcomes into decisions and reports each one:
-// the misses group by group, completing their entries, then the hits in
-// item order — by then a hit on an entry this batch reserved finds it
-// complete. Hit envelopes come from one slab; they die with the caller's
-// results, unlike the misses' entries, which the cache keeps one by one.
+// the misses group by group, putting each fresh decision in the cache, then
+// the hits in item order — by then a repeat finds its first occurrence's
+// decision there. Hit envelopes come from one slab; they die with the
+// caller's results, unlike the misses' entries, which the cache keeps one by
+// one.
 func (r *batchRun) finish() {
-	for _, g := range r.groups {
+	for gi := range r.groups {
+		g := &r.groups[gi]
 		for j := g.lo; j < g.hi; j++ {
-			i := int(r.misses[j])
-			if g.err != nil {
-				r.fail(i, "forest_error", fmt.Errorf("collective %q: %w", r.reqs[i].Collective, g.err))
-				continue
+			if i := int(r.misses[j]); g.err != nil {
+				r.failMiss(i, g)
+			} else {
+				r.finishMiss(i, r.preds[j], g.share)
 			}
-			r.finishMiss(i, r.preds[j], g.share)
 		}
 	}
 	envelopes := make([]Decision, r.hits)
 	for i := range r.items {
 		it := &r.items[i]
-		if it.state != itemHit {
-			continue
+		if it.state == itemRepeat {
+			r.resolveRepeat(i)
 		}
-		if it.e.ready.Load() {
+		if it.state == itemHit {
 			r.finishHit(i, &envelopes[0])
 			envelopes = envelopes[1:]
-			continue
 		}
-		// Whoever reserved the key — a failed item of this batch, or a
-		// request still in flight elsewhere — has no decision to share:
-		// this item walks the forest itself and takes the key over, as a
-		// miss would have.
-		it.e = new(entry)
-		pred := it.e.prediction()
-		from := time.Now()
-		if err := r.s.predictInto(it.c, it.x, &pred); err != nil {
-			r.fail(i, "forest_error", fmt.Errorf("collective %q: %w", r.reqs[i].Collective, err))
-			continue
-		}
-		r.finishMiss(i, pred, time.Since(from))
-		r.s.cache.Put(featureKey(r.gen, r.reqs[i].Collective, it.x, r.s.quantum), it.e)
+	}
+}
+
+// failMiss fails item i for what stopped its group g: a cancelled context
+// as lookup reports one, an evaluator error as a failed Select does.
+func (r *batchRun) failMiss(i int, g *evalGroup) {
+	r.items[i].state = itemFailed
+	if g.cancelled {
+		r.results[i].Err = g.err
+		return
+	}
+	r.fail(i, "forest_error", fmt.Errorf("collective %q: %w", r.reqs[i].Collective, g.err))
+}
+
+// resolveRepeat settles item i, whose key an earlier item of the run missed
+// on, now that that item is finished: it becomes a hit on the decision the
+// first occurrence put, or — same key, same forest, same outcome — fails
+// the way the first occurrence did.
+func (r *batchRun) resolveRepeat(i int) {
+	it := &r.items[i]
+	first := &r.items[it.first]
+	if first.state == itemFailed {
+		r.failMiss(i, &r.groups[first.group])
+		return
+	}
+	// Should the cache have dropped the decision again already (a cache
+	// smaller than the batch), the batch still holds it.
+	it.state, it.e = itemHit, first.e
+	if v, ok := r.s.cache.Get(first.key); ok {
+		it.e = v.(*entry)
 	}
 }
 
@@ -366,8 +417,8 @@ func (r *batchRun) finishHit(i int, d *Decision) {
 }
 
 // finishMiss completes item i from its fresh prediction: its entry becomes
-// its decision, visible to cache hits from here on. evalShare is the item's
-// share of its forest evaluation.
+// its decision and goes into the cache. evalShare is the item's share of its
+// forest evaluation.
 func (r *batchRun) finishMiss(i int, pred forest.Prediction, evalShare time.Duration) {
 	s, it, req := r.s, &r.items[i], &r.reqs[i]
 	latency := r.lookupShare + evalShare
@@ -383,6 +434,9 @@ func (r *batchRun) finishMiss(i int, pred forest.Prediction, evalShare time.Dura
 		features = copyFeatures(features)
 	}
 	s.completeCold(it.e, it.c, r.gen, req.Collective, features, it.x, pred, obs.NewRequestID(), r.start, latency)
+	if s.cache != nil {
+		s.cache.Put(it.key, it.e)
+	}
 	r.results[i].Decision = &it.e.d
 	r.sinks(req, &it.e.d)
 }

@@ -28,31 +28,6 @@ func (c *countingSinks) Record(_ float64, ok bool) {
 
 func (c *countingSinks) Offer(string, map[string]float64, string, int, int64) { c.offered.Add(1) }
 
-// flipCtx is a context whose Err turns into context.Canceled after a set
-// number of calls: a cancellation that lands between two items of a batch,
-// wherever the test wants it. A negative budget never cancels.
-type flipCtx struct {
-	context.Context
-	left atomic.Int64
-}
-
-func newFlipCtx(calls int) *flipCtx {
-	c := &flipCtx{Context: context.Background()}
-	c.left.Store(int64(calls))
-	return c
-}
-
-func (c *flipCtx) Err() error {
-	if c.left.Load() < 0 {
-		return nil
-	}
-	if c.left.Add(-1) < 0 {
-		c.left.Store(0)
-		return context.Canceled
-	}
-	return nil
-}
-
 // equivTwin is one of two identically built selectors with everything the
 // comparison reads.
 type equivTwin struct {
@@ -111,7 +86,9 @@ func equivBatch(rng *rand.Rand, size int, fresh, warm []map[string]float64) (req
 // TestSelectBatchEqualsSingles is the phased batch's contract: whatever the
 // batch's size and mix, whichever evaluator, with or without a cache or a
 // worker pool, SelectBatch on one selector leaves the same answers and the
-// same books as selecting the items one by one on its twin.
+// same books as selecting the items one by one on its twin. (Cancellation is
+// the one thing a batch does by phase and not by item; it has its own test,
+// TestSelectBatchCancelledMidBatch.)
 func TestSelectBatchEqualsSingles(t *testing.T) {
 	b, err := synth.New(synth.Config{Seed: 71, Trees: 24, Depth: 6})
 	if err != nil {
@@ -137,23 +114,14 @@ func TestSelectBatchEqualsSingles(t *testing.T) {
 						rng := rand.New(rand.NewSource(int64(size)*31 + int64(workers)))
 						reqs, repeated := equivBatch(rng, size, synth.Points(73, size), warm)
 
-						// One worker takes the items in order, so a
-						// cancellation can land mid-batch and still fail the
-						// same items on both sides; a pool gets a live context.
-						cancelAfter := -1
-						if workers == 1 && size > 1 {
-							cancelAfter = size - size/4
-						}
-						got := batch.s.SelectBatch(newFlipCtx(cancelAfter), reqs)
+						ctx := context.Background()
+						got := batch.s.SelectBatch(ctx, reqs)
 						if len(got) != len(reqs) {
 							t.Fatalf("%d results for %d requests", len(got), len(reqs))
 						}
-						ctx := newFlipCtx(cancelAfter)
 						for i, req := range reqs {
 							var want BatchResult
-							if want.Err = ctx.Err(); want.Err == nil {
-								want.Decision, want.Err = singles.s.Select(ctx, req.Collective, req.Features)
-							}
+							want.Decision, want.Err = singles.s.Select(ctx, req.Collective, req.Features)
 							// Across a pool's chunks two items of one key race
 							// for the put, as two concurrent Selects would.
 							sameItem(t, i, got[i], want, workers == 1 || !repeated[i])
@@ -248,54 +216,5 @@ func sameBooks(t *testing.T, batch, singles equivTwin, splitToo bool) {
 	bc.LatencyP50NS, bc.LatencyP99NS, sc.LatencyP50NS, sc.LatencyP99NS = 0, 0, 0, 0
 	if !reflect.DeepEqual(bc, sc) || b.Health().Summary().Decisions != s.Health().Summary().Decisions {
 		t.Errorf("model health: batch %+v, singles %+v", bc, sc)
-	}
-}
-
-// TestBatchGivesTheCacheTheSerialSequence: on a cache that is being thrashed
-// — a working set right at its capacity, so what survives depends on the
-// exact order of gets and puts — batches leave the same hits, misses and
-// evictions as the same items selected one by one. A batch that looked all
-// its items up before putting any would keep entries alive that the serial
-// order evicts, and answer from a cache larger than the one configured.
-func TestBatchGivesTheCacheTheSerialSequence(t *testing.T) {
-	b, err := synth.New(synth.Config{Seed: 74, Trees: 8, Depth: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	build := func() *Selector {
-		o := obs.NewForTest()
-		o.Logger.SetLevel(obs.LevelError)
-		return New(b, o, Config{BatchWorkers: 1, Cache: cache.New(cache.Config{MaxEntries: 256}, o.Registry)})
-	}
-	batch, singles := build(), build()
-	reqs := batchOf(synth.Points(75, 512))
-	ctx := context.Background()
-	serve := func(lo, n int) {
-		for _, r := range batch.SelectBatch(ctx, reqs[lo:lo+n]) {
-			if r.Err != nil {
-				t.Fatal(r.Err)
-			}
-		}
-		for _, req := range reqs[lo : lo+n] {
-			if _, err := singles.Select(ctx, req.Collective, req.Features); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	for lo := 0; lo < 512; lo += 64 { // twice the cache: every put evicts
-		serve(lo, 64)
-	}
-	for cycle := 0; cycle < 3; cycle++ { // then a working set the size of the cache
-		for lo := 0; lo < 512; lo += 128 {
-			serve(lo, 64)
-		}
-	}
-	bs, _ := batch.CacheStats()
-	ss, _ := singles.CacheStats()
-	if bs != ss {
-		t.Errorf("cache stats after batches %+v, after singles %+v", bs, ss)
-	}
-	if bs.Hits == 0 || bs.Evictions == 0 {
-		t.Errorf("the replay neither hit nor evicted (%+v): it does not exercise the order of gets and puts", bs)
 	}
 }

@@ -2,7 +2,9 @@ package selector
 
 import (
 	"context"
+	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -165,6 +167,126 @@ func TestBatchLatencyIsAnItemsShareOfItsPhases(t *testing.T) {
 		}
 		if sum > wall.Nanoseconds() {
 			t.Errorf("pass %d: item latencies sum to %d ns, more than the call's %d ns", pass, sum, wall.Nanoseconds())
+		}
+	}
+}
+
+// flipCtx is a context whose Err turns into context.Canceled after a set
+// number of calls: a cancellation that lands between two items of a batch,
+// wherever the test wants it. A negative budget never cancels.
+type flipCtx struct {
+	context.Context
+	left atomic.Int64
+}
+
+func newFlipCtx(calls int) *flipCtx {
+	c := &flipCtx{Context: context.Background()}
+	c.left.Store(int64(calls))
+	return c
+}
+
+func (c *flipCtx) Err() error {
+	if c.left.Load() < 0 {
+		return nil
+	}
+	if c.left.Add(-1) < 0 {
+		c.left.Store(0)
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestSelectBatchCancelledMidBatch pins how far a cancelled context lets a
+// batch get: lookup looks at it per item and evaluate per collective, so a
+// cancellation fails the items not yet looked up and the misses not yet
+// walked — with the context's error, which is no selection failure — and
+// leaves standing what the cache had already answered.
+func TestSelectBatchCancelledMidBatch(t *testing.T) {
+	warm, fresh := synth.Points(41, 2), synth.Points(42, 4)
+	reqs := []BatchRequest{
+		{Collective: "allgather", Features: warm[0]},
+		{Collective: "allgather", Features: fresh[0]},
+		{Collective: "alltoall", Features: fresh[1]},
+		{Collective: "allgather", Features: warm[1]},
+		{Collective: "alltoall", Features: fresh[2]},
+		{Collective: "allgather", Features: fresh[3]},
+	}
+	for _, tc := range []struct {
+		name     string
+		errCalls int // ctx.Err() answers nil this often, then Canceled
+		ok       []int
+	}{
+		{"during lookup", 4, []int{0, 3}},                         // the warm points among the first four
+		{"between collectives", len(reqs) + 1, []int{0, 1, 3, 5}}, // allgather walked, alltoall did not
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sinks := &countingSinks{}
+			o := obs.NewForTest()
+			s := newSynthSelector(t, Config{BatchWorkers: 1, SLO: sinks, Cache: cache.New(cache.Config{}, o.Registry)})
+			for _, pt := range warm {
+				if _, err := s.Select(context.Background(), "allgather", pt); err != nil {
+					t.Fatal(err)
+				}
+			}
+			results := s.SelectBatch(newFlipCtx(tc.errCalls), reqs)
+			ok := make(map[int]bool)
+			for _, i := range tc.ok {
+				ok[i] = true
+			}
+			for i, r := range results {
+				switch {
+				case ok[i] && r.Err != nil:
+					t.Errorf("item %d failed: %v", i, r.Err)
+				case !ok[i] && !errors.Is(r.Err, context.Canceled):
+					t.Errorf("item %d: decision %v, error %v, want context.Canceled", i, r.Decision, r.Err)
+				}
+			}
+			if got := s.duration.Count("alltoall", PathCold); got != 0 {
+				t.Errorf("%d alltoall forest walks after the cancellation", got)
+			}
+			if got, want := sinks.ok.Load(), int64(len(warm)+len(tc.ok)); got != want || sinks.failed.Load() != 0 {
+				t.Errorf("SLO saw %d good and %d failed selections, want %d and 0", got, sinks.failed.Load(), want)
+			}
+		})
+	}
+}
+
+// TestBatchRepeatedKey pins the duplicate-key rule: a key that occurs more
+// than once in a batch walks the forest once, its later occurrences come
+// back Cached and the cache counts one miss and a hit each — also when the
+// cache is too small to still hold the first occurrence's put by the time
+// the repeats are resolved.
+func TestBatchRepeatedKey(t *testing.T) {
+	pts := synth.Points(43, 65)
+	reqs := make([]BatchRequest, 0, len(pts)+2)
+	for _, pt := range pts {
+		reqs = append(reqs, BatchRequest{Collective: "allgather", Features: pt})
+	}
+	reqs = append(reqs, reqs[0], reqs[0])
+	for _, entries := range []int{0, 16} { // the default, and one entry per shard
+		o := obs.NewForTest()
+		s := newSynthSelector(t, Config{BatchWorkers: 1, Cache: cache.New(cache.Config{MaxEntries: entries}, o.Registry)})
+		results := s.SelectBatch(context.Background(), reqs)
+		first := results[0].Decision
+		for i, r := range results {
+			if r.Err != nil {
+				t.Fatal(r.Err)
+			}
+			if repeat := i >= len(pts); r.Decision.Cached != repeat {
+				t.Errorf("%d cache entries, item %d: cached = %v", entries, i, r.Decision.Cached)
+			} else if repeat && (r.Decision.Class != first.Class || &r.Decision.Probs[0] != &first.Probs[0] || r.Decision.RequestID == first.RequestID) {
+				t.Errorf("%d cache entries, item %d: %+v does not share the first occurrence's decision %+v", entries, i, r.Decision, first)
+			}
+		}
+		if got := s.duration.Count("allgather", PathCold); got != uint64(len(pts)) {
+			t.Errorf("%d cache entries: %d forest walks for %d distinct keys", entries, got, len(pts))
+		}
+		st, _ := s.CacheStats()
+		if st.Hits+st.Misses != uint64(len(reqs)) || st.Misses < uint64(len(pts)) {
+			t.Errorf("%d cache entries: cache stats %+v for %d items over %d keys", entries, st, len(reqs), len(pts))
+		}
+		if entries == 0 && st.Hits != 2 {
+			t.Errorf("cache counted %d hits for the two repeats", st.Hits)
 		}
 	}
 }

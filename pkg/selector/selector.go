@@ -471,9 +471,7 @@ func (s *Selector) doSelect(ctx context.Context, collective string, features map
 	}
 	extractDur := time.Since(extractStart)
 	key := featureKey(gen, collective, x, s.quantum)
-	// A pending entry (see entry) is a batch's reservation, not yet a
-	// decision: this request computes its own and takes the key over.
-	if v, ok := s.cache.Get(key); ok && v.(*entry).ready.Load() {
+	if v, ok := s.cache.Get(key); ok {
 		elapsed := time.Since(start)
 		d := new(Decision)
 		s.completeHit(d, v.(*entry), c, gen, collective, x, requestID(ctx), start, elapsed)
@@ -525,15 +523,9 @@ const inlineClasses = 8
 // It doubles as the decision-cache payload — the cache stores the pointer,
 // so a miss boxes nothing — which is why a returned decision is read-only:
 // hits copy it into a per-request envelope, nobody writes to it again.
-//
-// A batch puts an entry when its lookup misses and completes it when the
-// batch finishes, so the cache can hold an entry that is still pending.
-// ready flips, once, when the decision is complete; a lookup that finds a
-// pending entry has no decision to copy yet and goes on as a miss.
 type entry struct {
 	d     Decision
 	in    *decisionInstr
-	ready atomic.Bool
 	probs [inlineClasses]float64
 	votes [inlineClasses]int
 }
@@ -546,8 +538,8 @@ func (e *entry) prediction() forest.Prediction {
 
 // completeCold makes e the decision for pred, reports it everywhere a cold
 // decision is counted — the bound series, analytics, model health and the
-// ring — and marks e ready for cache hits. features is the map the decision
-// keeps; x is its extracted vector, which nothing retains.
+// ring. features is the map the decision keeps; x is its extracted vector,
+// which nothing retains.
 func (s *Selector) completeCold(e *entry, c *bundle.Collective, gen uint64, collective string, features map[string]float64, x []float64, pred forest.Prediction, reqID string, start time.Time, latency time.Duration) {
 	in := s.instruments(collective, pred.Class)
 	in.sel.Inc()
@@ -575,7 +567,6 @@ func (s *Selector) completeCold(e *entry, c *bundle.Collective, gen uint64, coll
 			c.Features, x, margin, false, e.d.LatencyNS)
 	}
 	s.ring.add(e.d)
-	e.ready.Store(true)
 }
 
 // completeHit makes d the per-request envelope around the cached decision
