@@ -8,17 +8,12 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
-	"github.com/pml-mpi/pmlmpi/pkg/bundle"
 	"github.com/pml-mpi/pmlmpi/pkg/cache"
-	"github.com/pml-mpi/pmlmpi/pkg/feedback"
 	"github.com/pml-mpi/pmlmpi/pkg/modelhealth"
 	"github.com/pml-mpi/pmlmpi/pkg/obs"
 	"github.com/pml-mpi/pmlmpi/pkg/registry"
-	"github.com/pml-mpi/pmlmpi/pkg/retrain"
 	"github.com/pml-mpi/pmlmpi/pkg/selector"
-	"github.com/pml-mpi/pmlmpi/pkg/slo"
 )
 
 // trainedFixture is the committed trained bundle that carries embedded
@@ -34,8 +29,8 @@ var trainedFeatures = map[string]float64{
 	"pcie_lanes": 64, "pcie_gen": 4, "link_speed_gbps": 100, "link_width": 4,
 }
 
-// newHealthServer wires the admin surface the way cmd/pmlmpi-server does:
-// registry-backed selector with cache and a model-health observatory.
+// newHealthServer wires the admin surface over a registry-backed selector
+// with cache and a model-health observatory.
 func newHealthServer(t *testing.T, hcfg modelhealth.Config) (*Server, *selector.Selector, *obs.Obs) {
 	t.Helper()
 	o := obs.NewForTest()
@@ -277,109 +272,3 @@ func TestSelectResponseGolden(t *testing.T) {
 }
 
 const selectGolden = `{"algorithm":"neighbor_exchange","class":3,"collective":"allgather","features":{"core_count":32,"l3_cache_mib":32,"link_speed_gbps":100,"link_width":4,"log2_msg_size":10,"max_clock_ghz":2.6,"mem_bw_gbs":180,"num_nodes":4,"numa_nodes":4,"pcie_gen":4,"pcie_lanes":64,"ppn":8,"sockets":2,"thread_count":64},"generation":1,"low_margin":true,"margin":0.13820770930413884,"probs":[0.31368802345558655,0.20816622623319192,0.02625001755149609,0.4518957327597254],"votes":[1,0,0,3]}`
-
-// TestMetricsFamilyInventoryGolden pins the complete instrument inventory of
-// a production-wired server (registry, shadow, SLO, cache, model health).
-// A new instrument must be added here deliberately; a vanished one is a
-// regression.
-func TestMetricsFamilyInventoryGolden(t *testing.T) {
-	o := obs.NewForTest()
-	o.Logger.SetLevel(obs.LevelError)
-	shadow := registry.NewShadow(o, registry.ShadowConfig{})
-	r := registry.New(o, registry.Config{Shadow: shadow})
-	g, err := r.Load(trainedFixture)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Promote(g.ID()); err != nil {
-		t.Fatal(err)
-	}
-	tracker := slo.New(o.Registry, slo.Objectives{SelectP99: time.Millisecond, Availability: 0.999})
-	health := modelhealth.New(o.Registry, modelhealth.Config{})
-	sel := selector.NewFromSource(r, o, selector.Config{
-		Cache:  cache.New(cache.Config{}, o.Registry),
-		SLO:    tracker,
-		Health: health,
-	})
-	shadow.SetNamer(sel.AlgorithmName)
-	shadow.SetHealthSink(health.RecordShadow)
-	store, err := feedback.NewStore(o.Registry, feedback.Config{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-	ctrl, err := retrain.New(o, retrain.Config{}, retrain.Deps{Store: store, Registry: r, Shadow: shadow, Health: health})
-	if err != nil {
-		t.Fatal(err)
-	}
-	New(sel, o, Config{Registry: r, SLO: tracker, Health: health, Feedback: store, Retrain: ctrl})
-
-	got := o.Registry.FamilyNames()
-	if !reflect.DeepEqual(got, inventoryGolden) {
-		t.Fatalf("metric family inventory drifted:\n got %q\nwant %q", got, inventoryGolden)
-	}
-}
-
-var inventoryGolden = []string{
-	"pmlmpi_batch_requests_total",
-	"pmlmpi_batch_size_items",
-	"pmlmpi_build_info",
-	"pmlmpi_bundle_forest_trees",
-	"pmlmpi_bundle_loaded",
-	"pmlmpi_bundle_size_bytes",
-	"pmlmpi_bundle_trained_systems",
-	"pmlmpi_cache_entries",
-	"pmlmpi_cache_evictions_total",
-	"pmlmpi_cache_hits_total",
-	"pmlmpi_cache_lookup_duration_seconds",
-	"pmlmpi_cache_misses_total",
-	"pmlmpi_drift_cumulative_psi",
-	"pmlmpi_drift_observations_total",
-	"pmlmpi_drift_psi",
-	"pmlmpi_drift_reference_loaded",
-	"pmlmpi_drift_status",
-	"pmlmpi_drift_windows_completed",
-	"pmlmpi_feedback_records_resident",
-	"pmlmpi_feedback_records_total",
-	"pmlmpi_feedback_segments",
-	"pmlmpi_flightrec_capacity",
-	"pmlmpi_flightrec_occupancy",
-	"pmlmpi_flightrec_records_total",
-	"pmlmpi_forest_predict_duration_seconds",
-	"pmlmpi_http_request_duration_seconds",
-	"pmlmpi_http_requests_total",
-	"pmlmpi_margin_low_rate",
-	"pmlmpi_margin_low_total",
-	"pmlmpi_margin_vote",
-	"pmlmpi_margin_warn_threshold",
-	"pmlmpi_registry_active_generation",
-	"pmlmpi_registry_generations",
-	"pmlmpi_registry_loads_total",
-	"pmlmpi_registry_promotions_total",
-	"pmlmpi_registry_rollbacks_total",
-	"pmlmpi_retrain_candidate_generation",
-	"pmlmpi_retrain_cycles_total",
-	"pmlmpi_retrain_drift_alert_streak",
-	"pmlmpi_retrain_state",
-	"pmlmpi_select_duration_seconds",
-	"pmlmpi_selection_errors_total",
-	"pmlmpi_selections_total",
-	"pmlmpi_selector_bundle_swaps_total",
-	"pmlmpi_shadow_agreements_total",
-	"pmlmpi_shadow_candidate_duration_seconds",
-	"pmlmpi_shadow_dropped_total",
-	"pmlmpi_shadow_errors_total",
-	"pmlmpi_shadow_samples_total",
-	"pmlmpi_slo_availability",
-	"pmlmpi_slo_availability_burn_rate",
-	"pmlmpi_slo_latency_burn_rate",
-	"pmlmpi_slo_objective_availability",
-	"pmlmpi_slo_objective_select_p99_seconds",
-	"pmlmpi_slo_observations_total",
-	"pmlmpi_slo_slow_fraction",
-	"pmlmpi_span_duration_seconds",
-	"pmlmpi_traces_sampled_total",
-	"pmlmpi_traces_stored",
-}
-
-var _ = bundle.SupportedVersion // keep the bundle import alongside newTestServer's

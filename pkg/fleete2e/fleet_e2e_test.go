@@ -1,7 +1,7 @@
 // Package fleete2e exercises the whole fleet-serving stack in one
-// process: a real control plane (httptest), three full replica stacks
-// (registry + shadow + selector + agent + admin surface), and the
-// partitioning gateway, driven deterministically through Agent.Tick.
+// process: a real control plane (httptest), three replica stacks built by
+// serve.New as pmlmpi-server builds them, and the partitioning gateway,
+// driven deterministically through Agent.Tick.
 //
 // The scenarios mirror the operational stories the fleet exists for:
 // a staged canary -> fleet promote of a compatible candidate, an
@@ -15,21 +15,19 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
 
-	"github.com/pml-mpi/pmlmpi/pkg/admin"
 	"github.com/pml-mpi/pmlmpi/pkg/bundle"
-	"github.com/pml-mpi/pmlmpi/pkg/cache"
 	"github.com/pml-mpi/pmlmpi/pkg/controlplane"
 	"github.com/pml-mpi/pmlmpi/pkg/forest"
 	"github.com/pml-mpi/pmlmpi/pkg/gateway"
 	"github.com/pml-mpi/pmlmpi/pkg/loadgen"
 	"github.com/pml-mpi/pmlmpi/pkg/obs"
-	"github.com/pml-mpi/pmlmpi/pkg/registry"
-	"github.com/pml-mpi/pmlmpi/pkg/replica"
-	"github.com/pml-mpi/pmlmpi/pkg/selector"
+	"github.com/pml-mpi/pmlmpi/pkg/serve"
 	"github.com/pml-mpi/pmlmpi/pkg/synth"
 )
 
@@ -96,54 +94,40 @@ func newFleetCtl(t *testing.T, stableData []byte, cfg controlplane.RolloutConfig
 	return ts.URL, store, ro, stable
 }
 
-// fleetReplica is one full in-process replica: model registry with
-// shadow evaluation, selector, control-plane agent, and the admin HTTP
-// surface the gateway proxies to.
+// fleetReplica is one replica stack built by serve.New exactly as
+// pmlmpi-server -controlplane builds it (shadow, SLO tracker, model health,
+// agent, admin surface). The agent's poll loop is parked; tests drive it
+// through Tick.
 type fleetReplica struct {
-	id     string
-	reg    *registry.Registry
-	shadow *registry.Shadow
-	sel    *selector.Selector
-	agent  *replica.Agent
-	srv    *httptest.Server
+	id string
+	*serve.Stack
 }
 
 func newFleetReplica(t *testing.T, ctlURL, id string, soak time.Duration) *fleetReplica {
 	t.Helper()
-	o := obs.NewForTest()
-	sh := registry.NewShadow(o, registry.ShadowConfig{Fraction: 1})
-	reg := registry.New(o, registry.Config{Shadow: sh})
-	sel := selector.NewFromSource(reg, o, selector.Config{Shadow: sh})
-	sh.SetNamer(sel.AlgorithmName)
-	sh.Start()
-	t.Cleanup(sh.Stop)
+	cfg := serve.Defaults()
+	cfg.Bundle = filepath.Join(t.TempDir(), "absent.json") // boots bundle-less, like fleet-smoke
+	cfg.ControlPlane, cfg.ReplicaID = ctlURL, id
+	cfg.ManifestPoll = time.Hour
+	cfg.StageSoak = soak
+	cfg.ShadowFraction = 1
+	cfg.MinShadowSamples = 8
+	return &fleetReplica{id: id, Stack: newStack(t, cfg)}
+}
 
-	a, err := replica.NewAgent(o, replica.AgentConfig{
-		ControlPlane:     ctlURL,
-		ReplicaID:        id,
-		Registry:         reg,
-		Shadow:           sh,
-		PollInterval:     5 * time.Millisecond,
-		StageSoak:        soak,
-		MinAgreement:     0.9,
-		MinShadowSamples: 8,
-	})
+// newStack builds a serving stack that closes with the test.
+func newStack(t *testing.T, cfg serve.Config) *serve.Stack {
+	t.Helper()
+	st, err := serve.New(cfg, obs.NewForTest())
 	if err != nil {
-		t.Fatalf("NewAgent(%s): %v", id, err)
+		t.Fatalf("serve.New: %v", err)
 	}
-	srv := admin.New(sel, o, admin.Config{
-		Registry: reg,
-		Shadow:   sh,
-		Role:     "replica",
-		Desired:  func() any { return a.Status() },
-	})
-	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
-	return &fleetReplica{id: id, reg: reg, shadow: sh, sel: sel, agent: a, srv: ts}
+	t.Cleanup(func() { st.Close() })
+	return st
 }
 
 func (r *fleetReplica) activeHash() string {
-	if g := r.reg.ActiveGeneration(); g != nil {
+	if g := r.Registry.ActiveGeneration(); g != nil {
 		return g.Hash()
 	}
 	return ""
@@ -160,7 +144,7 @@ func (r *fleetReplica) feedSelects(ctx context.Context, t *testing.T, n int) {
 			"ppn":           float64(1 + i%8),
 			"log2_msg_size": float64(4 + i%20),
 		}
-		if _, err := r.sel.Select(ctx, "allreduce", feats); err != nil {
+		if _, err := r.Selector.Select(ctx, "allreduce", feats); err != nil {
 			t.Fatalf("replica %s select: %v", r.id, err)
 		}
 	}
@@ -202,7 +186,7 @@ func TestFleetStagedRolloutPromotes(t *testing.T) {
 	// desired-hash debounce, one more for the heartbeat to confirm).
 	for i := 0; i < 3; i++ {
 		for _, r := range reps {
-			r.agent.Tick(ctx)
+			r.Agent.Tick(ctx)
 		}
 	}
 	for _, r := range reps {
@@ -222,6 +206,13 @@ func TestFleetStagedRolloutPromotes(t *testing.T) {
 		}
 	}
 
+	// Live traffic before the rollout, then a heartbeat: the control plane
+	// baselines each replica's select p99 when the rollout starts.
+	for _, r := range reps {
+		r.feedSelects(ctx, t, 2)
+		r.Agent.Tick(ctx)
+	}
+
 	cand, _, err := store.Put(candData)
 	if err != nil {
 		t.Fatalf("Put candidate: %v", err)
@@ -232,12 +223,20 @@ func TestFleetStagedRolloutPromotes(t *testing.T) {
 	if err := ro.Start(cand); err != nil {
 		t.Fatalf("Start rollout: %v", err)
 	}
+	// The p99 rollback gate's inputs, on the /debug/rollout payload: every
+	// heartbeat carries a select p99 and the rollout baselined it.
+	for _, ri := range ro.Snapshot().Replicas {
+		if ri.Heartbeat.SelectP99US <= 0 || ri.BaselineP99 <= 0 {
+			t.Errorf("replica %s: heartbeat select_p99_us = %v, baseline_p99_us = %v; want both > 0",
+				ri.ReplicaID, ri.Heartbeat.SelectP99US, ri.BaselineP99)
+		}
+	}
 
 	sawCanary, sawFleet := false, false
 	deadline := time.Now().Add(rolloutDeadline)
 	for {
 		for _, r := range reps {
-			r.agent.Tick(ctx)
+			r.Agent.Tick(ctx)
 			r.feedSelects(ctx, t, 2)
 		}
 		snap := ro.Snapshot()
@@ -299,7 +298,7 @@ func TestFleetAutoRollbackNeverServesBadCandidate(t *testing.T) {
 	ctx := context.Background()
 	for i := 0; i < 3; i++ {
 		for _, r := range reps {
-			r.agent.Tick(ctx)
+			r.Agent.Tick(ctx)
 		}
 	}
 
@@ -315,7 +314,7 @@ func TestFleetAutoRollbackNeverServesBadCandidate(t *testing.T) {
 	deadline := time.Now().Add(rolloutDeadline)
 	for {
 		for _, r := range reps {
-			r.agent.Tick(ctx)
+			r.Agent.Tick(ctx)
 			r.feedSelects(ctx, t, 2)
 		}
 		// The core invariant, checked on every iteration.
@@ -326,11 +325,11 @@ func TestFleetAutoRollbackNeverServesBadCandidate(t *testing.T) {
 		}
 		// Non-canary replicas must never stage the candidate at all.
 		for _, r := range reps[1:] {
-			if st := r.agent.Status(); st.CandidateHash == bad {
+			if st := r.Agent.Status(); st.CandidateHash == bad {
 				t.Fatalf("non-canary replica %s staged the bad candidate", r.id)
 			}
 		}
-		if st := reps[0].agent.Status(); st.CandidateHash == bad {
+		if st := reps[0].Agent.Status(); st.CandidateHash == bad {
 			sawSoak = true
 		}
 		snap := ro.Snapshot()
@@ -359,7 +358,7 @@ func TestFleetAutoRollbackNeverServesBadCandidate(t *testing.T) {
 	// must not disturb serving.
 	for i := 0; i < 4; i++ {
 		for _, r := range reps {
-			r.agent.Tick(ctx)
+			r.Agent.Tick(ctx)
 		}
 	}
 	for _, r := range reps {
@@ -369,37 +368,25 @@ func TestFleetAutoRollbackNeverServesBadCandidate(t *testing.T) {
 	}
 }
 
-// serveStack is a minimal serving node for the loadgen comparison: no
-// agent, no shadow — just a promoted bundle behind the admin surface.
-type serveStack struct {
-	srv *httptest.Server
-}
-
-func newServeStack(t *testing.T, bundleData []byte) *serveStack {
+// newServeStack is one standalone serving node behind a listener.
+func newServeStack(t *testing.T, bundleData []byte) *httptest.Server {
 	t.Helper()
 	ts := httptest.NewServer(newServeHandler(t, bundleData, 0))
 	t.Cleanup(ts.Close)
-	return &serveStack{srv: ts}
+	return ts
 }
 
 // newServeHandler is the serving node itself, without a listener, with a
 // decision cache when cacheEntries > 0.
 func newServeHandler(t *testing.T, bundleData []byte, cacheEntries int) http.Handler {
 	t.Helper()
-	o := obs.NewForTest()
-	reg := registry.New(o, registry.Config{})
-	gen, err := reg.LoadData(bundleData, "fleete2e")
-	if err != nil {
-		t.Fatalf("LoadData: %v", err)
+	cfg := serve.Defaults()
+	cfg.Bundle = filepath.Join(t.TempDir(), "bundle.json")
+	if err := os.WriteFile(cfg.Bundle, bundleData, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := reg.Promote(gen.ID()); err != nil {
-		t.Fatalf("Promote: %v", err)
-	}
-	var cfg selector.Config
-	if cacheEntries > 0 {
-		cfg.Cache = cache.New(cache.Config{MaxEntries: cacheEntries}, o.Registry)
-	}
-	return admin.New(selector.NewFromSource(reg, o, cfg), o, admin.Config{Registry: reg, Role: "replica"})
+	cfg.CacheEntries = cacheEntries
+	return newStack(t, cfg).Handler
 }
 
 // TestGatewayLoadgenTallyMatchesSingleServer replays the same seeded
@@ -417,7 +404,7 @@ func TestGatewayLoadgenTallyMatchesSingleServer(t *testing.T) {
 
 	var specs []gateway.ReplicaSpec
 	for _, id := range []string{"r0", "r1", "r2"} {
-		specs = append(specs, gateway.ReplicaSpec{ID: id, URL: newServeStack(t, bundleData).srv.URL})
+		specs = append(specs, gateway.ReplicaSpec{ID: id, URL: newServeStack(t, bundleData).URL})
 	}
 	gw, err := gateway.New(obs.NewForTest(), gateway.Config{Replicas: specs, MaxAttempts: 3})
 	if err != nil {
@@ -436,7 +423,7 @@ func TestGatewayLoadgenTallyMatchesSingleServer(t *testing.T) {
 	}
 
 	soloOpts := opts
-	soloOpts.BaseURL = single.srv.URL
+	soloOpts.BaseURL = single.URL
 	soloRep, err := loadgen.Run(ctx, soloOpts)
 	if err != nil {
 		t.Fatalf("single-server run: %v", err)

@@ -25,9 +25,9 @@ func TestTiersAcceptAndRejectTheSameBodies(t *testing.T) {
 	if err != nil {
 		t.Fatalf("synth bundle: %v", err)
 	}
-	server := newServeStack(t, bundleData).srv
+	server := newServeStack(t, bundleData)
 	gw, err := gateway.New(obs.NewForTest(), gateway.Config{
-		Replicas: []gateway.ReplicaSpec{{ID: "r0", URL: newServeStack(t, bundleData).srv.URL}},
+		Replicas: []gateway.ReplicaSpec{{ID: "r0", URL: newServeStack(t, bundleData).URL}},
 	})
 	if err != nil {
 		t.Fatalf("gateway.New: %v", err)

@@ -196,9 +196,6 @@ func (cf *Forest) NumTrees() int { return len(cf.roots) }
 // NumNodes returns the total node count across all trees.
 func (cf *Forest) NumNodes() int { return len(cf.nodes) }
 
-// NumLeaves returns the total leaf count across all trees.
-func (cf *Forest) NumLeaves() int { return len(cf.leafVotes) }
-
 // Instrument registers fn to receive the wall-clock seconds of every
 // subsequent predict call, or removes the hook when fn is nil. Safe to call
 // concurrently with evaluation.

@@ -9,42 +9,30 @@ import (
 	"testing"
 	"time"
 
-	"github.com/pml-mpi/pmlmpi/pkg/admin"
 	"github.com/pml-mpi/pmlmpi/pkg/analytics"
-	"github.com/pml-mpi/pmlmpi/pkg/cache"
-	"github.com/pml-mpi/pmlmpi/pkg/feedback"
-	"github.com/pml-mpi/pmlmpi/pkg/modelhealth"
 	"github.com/pml-mpi/pmlmpi/pkg/obs"
-	"github.com/pml-mpi/pmlmpi/pkg/registry"
-	"github.com/pml-mpi/pmlmpi/pkg/retrain"
-	"github.com/pml-mpi/pmlmpi/pkg/selector"
-	"github.com/pml-mpi/pmlmpi/pkg/slo"
+	"github.com/pml-mpi/pmlmpi/pkg/serve"
 )
 
-// newLiveServer boots the full admin surface over the committed trained
-// fixture — the same wiring cmd/pmlmpi-server uses, behind httptest.
+// newLiveServer serves the committed trained fixture through the stack
+// cmd/pmlmpi-server runs (serve.New with the binary's defaults), behind
+// httptest.
 func newLiveServer(t *testing.T) *httptest.Server {
+	return newServer(t, serve.Defaults())
+}
+
+func newServer(t *testing.T, cfg serve.Config) *httptest.Server {
 	t.Helper()
-	o := obs.NewForTest()
-	o.Logger.SetLevel(obs.LevelError)
-	r := registry.New(o, registry.Config{})
-	g, err := r.Load(filepath.Join("..", "bundle", "testdata", "trained_small.json"))
+	cfg.Bundle = filepath.Join("..", "bundle", "testdata", "trained_small.json")
+	st, err := serve.New(cfg, obs.NewForTest())
 	if err != nil {
-		t.Fatalf("load fixture: %v", err)
+		t.Fatalf("serve.New: %v", err)
 	}
-	if _, err := r.Promote(g.ID()); err != nil {
-		t.Fatalf("promote: %v", err)
-	}
-	tracker := slo.New(o.Registry, slo.Objectives{SelectP99: time.Millisecond, Availability: 0.999})
-	health := modelhealth.New(o.Registry, modelhealth.Config{})
-	sel := selector.NewFromSource(r, o, selector.Config{
-		RingSize: 1024,
-		Cache:    cache.New(cache.Config{}, o.Registry),
-		SLO:      tracker,
-		Health:   health,
+	srv := httptest.NewServer(st.Handler)
+	t.Cleanup(func() {
+		srv.Close()
+		st.Close()
 	})
-	srv := httptest.NewServer(admin.New(sel, o, admin.Config{Registry: r, SLO: tracker, Health: health}))
-	t.Cleanup(srv.Close)
 	return srv
 }
 
@@ -287,42 +275,12 @@ func TestReportWriteFileAtomic(t *testing.T) {
 	}
 }
 
-// newSelfTuningServer extends the live fixture server with the feedback
-// store and an idle retrain controller — the full self-tuning surface.
+// newSelfTuningServer is the live fixture server with -feedback-dir set:
+// the feedback store and an idle retrain controller.
 func newSelfTuningServer(t *testing.T) *httptest.Server {
-	t.Helper()
-	o := obs.NewForTest()
-	o.Logger.SetLevel(obs.LevelError)
-	shadow := registry.NewShadow(o, registry.ShadowConfig{})
-	r := registry.New(o, registry.Config{Shadow: shadow})
-	g, err := r.Load(filepath.Join("..", "bundle", "testdata", "trained_small.json"))
-	if err != nil {
-		t.Fatalf("load fixture: %v", err)
-	}
-	if _, err := r.Promote(g.ID()); err != nil {
-		t.Fatalf("promote: %v", err)
-	}
-	health := modelhealth.New(o.Registry, modelhealth.Config{})
-	sel := selector.NewFromSource(r, o, selector.Config{
-		RingSize: 1024,
-		Cache:    cache.New(cache.Config{}, o.Registry),
-		Health:   health,
-	})
-	store, err := feedback.NewStore(o.Registry, feedback.Config{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatalf("feedback store: %v", err)
-	}
-	t.Cleanup(func() { store.Close() })
-	ctrl, err := retrain.New(o, retrain.Config{},
-		retrain.Deps{Store: store, Registry: r, Shadow: shadow, Health: health})
-	if err != nil {
-		t.Fatalf("retrain controller: %v", err)
-	}
-	srv := httptest.NewServer(admin.New(sel, o, admin.Config{
-		Registry: r, Health: health, Feedback: store, Retrain: ctrl,
-	}))
-	t.Cleanup(srv.Close)
-	return srv
+	cfg := serve.Defaults()
+	cfg.FeedbackDir = t.TempDir()
+	return newServer(t, cfg)
 }
 
 // TestRunFeedbackEmission: a feedback-emitting run posts oracle-labeled

@@ -313,11 +313,6 @@ func (h *Histogram) Observe(v float64, labelValues ...string) {
 	h.f.get(labelValues).hist.observe(h.f.buckets, v)
 }
 
-// Buckets returns a copy of the family's bucket upper bounds.
-func (h *Histogram) Buckets() []float64 {
-	return append([]float64(nil), h.f.buckets...)
-}
-
 // BoundHistogram is a histogram pinned to one label combination; see
 // BoundCounter for the rationale.
 type BoundHistogram struct {
@@ -339,12 +334,6 @@ func (b BoundHistogram) Observe(v float64) {
 func (h *Histogram) Count(labelValues ...string) uint64 {
 	_, _, count := h.f.get(labelValues).hist.snapshot(len(h.f.buckets))
 	return count
-}
-
-// Sum returns the observation sum of one series (mainly for tests).
-func (h *Histogram) Sum(labelValues ...string) float64 {
-	_, sum, _ := h.f.get(labelValues).hist.snapshot(len(h.f.buckets))
-	return sum
 }
 
 // WritePrometheus writes every registered family in Prometheus text

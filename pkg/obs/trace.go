@@ -267,7 +267,7 @@ type Obs struct {
 
 // New builds a full observability stack writing logs to w. The trace store
 // starts with DefaultTraceCapacity and sampling disabled; call
-// Traces.SetSampleRate (and optionally Traces.SetCapacity) to retain spans.
+// Traces.SetSampleRate to retain spans.
 func New(w io.Writer, level Level) *Obs {
 	reg := NewRegistry()
 	log := NewLogger(w, level)

@@ -109,21 +109,6 @@ func (ts *TraceStore) SampleRate() float64 {
 	return ts.rate
 }
 
-// SetCapacity resizes the ring, dropping all currently retained traces.
-// Intended for startup configuration, not steady-state use.
-func (ts *TraceStore) SetCapacity(capacity int) {
-	if capacity <= 0 {
-		capacity = DefaultTraceCapacity
-	}
-	ts.mu.Lock()
-	ts.buf = make([]*Trace, capacity)
-	ts.next = 0
-	ts.full = false
-	ts.byID = make(map[string]*Trace, capacity)
-	ts.mu.Unlock()
-	ts.stored.Set(0)
-}
-
 // enabled reports whether any sampling is configured.
 func (ts *TraceStore) enabled() bool { return ts.every.Load() != 0 }
 

@@ -229,18 +229,3 @@ func TestTraceTruncationCap(t *testing.T) {
 		t.Errorf("trace retained %d spans, cap is %d", len(trace.Spans), MaxSpansPerTrace)
 	}
 }
-
-func TestSetCapacityDropsRetained(t *testing.T) {
-	tr, store := newTestTracer(1.0, 4)
-	_, root := tr.Start(context.Background(), "op")
-	root.End()
-	store.SetCapacity(16)
-	if store.Len() != 0 {
-		t.Errorf("resize kept %d traces", store.Len())
-	}
-	_, root = tr.Start(context.Background(), "op2")
-	root.End()
-	if store.Len() != 1 {
-		t.Errorf("store broken after resize: %d traces", store.Len())
-	}
-}

@@ -28,10 +28,6 @@ type ShadowConfig struct {
 	// QueueSize bounds the task queue; offers beyond it are dropped and
 	// counted, never blocking the caller (default 256).
 	QueueSize int
-	// Namer maps (collective, class) to an algorithm name for agreement
-	// comparison and reporting. Defaults to "class_<n>". Wire the
-	// selector's AlgorithmName here so both sides name classes identically.
-	Namer func(collective string, class int) string
 }
 
 // shadowTask is one live decision to re-evaluate against the candidate.
@@ -115,9 +111,6 @@ func NewShadow(o *obs.Obs, cfg ShadowConfig) *Shadow {
 		mLatency: o.Registry.Histogram("pmlmpi_shadow_candidate_duration_seconds",
 			"Wall time of one candidate forest evaluation.", obs.LatencyBuckets, "collective"),
 	}
-	if cfg.Namer != nil {
-		s.namer.Store(&cfg.Namer)
-	}
 	s.setFraction(cfg.Fraction)
 	return s
 }
@@ -133,8 +126,9 @@ func (s *Shadow) setFraction(f float64) {
 	}
 }
 
-// SetNamer wires the algorithm namer after construction (the selector is
-// built after the shadow in server wiring).
+// SetNamer wires the algorithm namer, mapping (collective, class) to the
+// name agreement is judged and reported by — the selector's AlgorithmName,
+// which pkg/serve builds after the shadow. Unset, classes are "class_<n>".
 func (s *Shadow) SetNamer(fn func(collective string, class int) string) {
 	if fn == nil {
 		s.namer.Store(nil)

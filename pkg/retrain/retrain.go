@@ -291,9 +291,6 @@ func New(o *obs.Obs, cfg Config, deps Deps) (*Controller, error) {
 	return c, nil
 }
 
-// Config returns the controller's effective (defaulted) configuration.
-func (c *Controller) Config() Config { return c.cfg }
-
 // Start launches the trigger loop. Idempotent.
 func (c *Controller) Start() {
 	c.once.Do(func() {
@@ -676,9 +673,6 @@ func scoreBundle(b *bundle.Bundle, ds *dataset.Dataset, marginWarn float64) (acc
 	n := float64(ds.Len())
 	return float64(correct) / n, float64(low) / n, nil
 }
-
-// DriftAlertStreak returns the current sustained-ALERT window count.
-func (c *Controller) DriftAlertStreak() uint64 { return c.driftStreak.Load() }
 
 // Report builds the /debug/retrain payload.
 func (c *Controller) Report() Report {

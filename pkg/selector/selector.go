@@ -325,9 +325,6 @@ func (s *Selector) Bundle() *bundle.Bundle {
 	return b
 }
 
-// Source returns the bundle source the selector reads from.
-func (s *Selector) Source() Source { return s.src }
-
 // Recent returns up to n recent decisions, newest first (n <= 0 for all).
 func (s *Selector) Recent(n int) []Decision { return s.ring.last(n) }
 
@@ -642,7 +639,3 @@ func copyFeatures(m map[string]float64) map[string]float64 {
 	}
 	return out
 }
-
-// Prediction re-exports the forest prediction type for callers that want
-// raw ensemble output without the decision envelope.
-type Prediction = forest.Prediction

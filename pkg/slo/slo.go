@@ -86,9 +86,6 @@ func New(reg *obs.Registry, obj Objectives) *Tracker {
 // Record traffic.
 func (t *Tracker) SetClock(now func() time.Time) { t.ring.SetClock(now) }
 
-// Objectives returns the configured targets.
-func (t *Tracker) Objectives() Objectives { return t.obj }
-
 // Record feeds one completed select (latency in seconds, success flag) into
 // every window. Safe for concurrent use; intended to be called once per
 // Select on the serving path.

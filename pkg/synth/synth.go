@@ -133,18 +133,6 @@ func labeledJSON(cfg Config) ([]byte, error) {
 	return b.Encode()
 }
 
-// Binary renders a synthetic bundle in the compact PMLB binary encoding —
-// the JSON bundle re-encoded through bundle.EncodeBinary, so binary-path
-// consumers (ParseAny, registry loads, fuzz seeds) exercise exactly what
-// WriteFileBinary ships. Deterministic for a given Config.
-func Binary(cfg Config) ([]byte, error) {
-	b, err := New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return b.EncodeBinary()
-}
-
 // New generates a synthetic bundle and loads it through bundle.Parse, so
 // the result is guaranteed to be exactly what the production loader would
 // accept from disk.

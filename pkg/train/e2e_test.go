@@ -9,9 +9,8 @@ import (
 	"github.com/pml-mpi/pmlmpi/pkg/bundle"
 	"github.com/pml-mpi/pmlmpi/pkg/obs"
 	"github.com/pml-mpi/pmlmpi/pkg/perfmodel"
-	"github.com/pml-mpi/pmlmpi/pkg/registry"
-	"github.com/pml-mpi/pmlmpi/pkg/replica"
-	"github.com/pml-mpi/pmlmpi/pkg/selector"
+	"github.com/pml-mpi/pmlmpi/pkg/serve"
+	"github.com/pml-mpi/pmlmpi/pkg/synth"
 	"github.com/pml-mpi/pmlmpi/pkg/train"
 )
 
@@ -20,8 +19,9 @@ import (
 //
 //  1. sweep the analytical perfmodel for labels and hold out a test split,
 //  2. train a forest bundle and write it atomically to a watched path,
-//  3. let the registry watcher discover, validate, and promote it,
-//  4. serve live Select calls through the selector,
+//  3. let the serving stack's bundle watcher discover, validate, and
+//     promote it,
+//  4. serve live Select calls through the stack's selector,
 //  5. require >= 90% agreement between served decisions and the
 //     analytical oracle on the held-out points, deterministically.
 func TestEndToEndTrainWatchServe(t *testing.T) {
@@ -47,37 +47,37 @@ func TestEndToEndTrainWatchServe(t *testing.T) {
 		t.Logf("trained %s: %d examples, %d trees, OOB %.4f", r.Collective, r.Examples, r.Trees, r.OOBAccuracy)
 	}
 
-	// Publish to the watched path. WriteFile is atomic, so the watcher can
-	// never observe a half-written bundle.
-	dir := t.TempDir()
-	path := filepath.Join(dir, "bundle.json")
-	written, err := b.WriteFile(path)
+	// Serve through the stack pmlmpi-server runs with -bundle-watch. It
+	// boots on a synthetic bundle; publishing the trained one over it must
+	// be discovered, validated and promoted by the watcher. WriteFile is
+	// atomic, so the watcher can never observe a half-written bundle.
+	cfg := serve.Defaults()
+	cfg.Bundle = filepath.Join(t.TempDir(), "bundle.json")
+	cfg.BundleWatch, cfg.WatchInterval = true, 2*time.Millisecond
+	if _, err := synth.MustNew(synth.Config{Seed: seed}).WriteFile(cfg.Bundle); err != nil {
+		t.Fatal(err)
+	}
+	st, err := serve.New(cfg, obs.NewForTest())
+	if err != nil {
+		t.Fatalf("serve.New: %v", err)
+	}
+	defer st.Close()
+	written, err := b.WriteFile(cfg.Bundle)
 	if err != nil {
 		t.Fatalf("WriteFile: %v", err)
 	}
 
-	o := obs.NewForTest()
-	reg := registry.New(o, registry.Config{})
-	w := replica.NewFileWatcher(reg, o, path, time.Second)
-	w.SetInterval(2 * time.Millisecond)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	done := make(chan struct{})
-	go func() { defer close(done); w.Run(ctx) }()
-
+	want := mustHash(t, written)
 	deadline := time.Now().Add(5 * time.Second)
-	for reg.ActiveGeneration() == nil && time.Now().Before(deadline) {
+	for st.Registry.ActiveGeneration().Hash() != want && time.Now().Before(deadline) {
 		time.Sleep(2 * time.Millisecond)
 	}
-	gen := reg.ActiveGeneration()
-	if gen == nil {
+	gen := st.Registry.ActiveGeneration()
+	if gen.Hash() != want {
 		t.Fatal("watcher never promoted the trained bundle")
 	}
-	if gen.Bundle().Hash != mustHash(t, written) {
-		t.Fatal("promoted generation hash does not match the written artifact")
-	}
 
-	sel := selector.NewFromSource(reg, o, selector.Config{})
+	ctx, sel := context.Background(), st.Selector
 	agree := map[string]int{}
 	total := map[string]int{}
 	for i := range heldOut.Examples {
@@ -99,9 +99,6 @@ func TestEndToEndTrainWatchServe(t *testing.T) {
 			agree[ex.Collective]++
 		}
 	}
-	cancel()
-	<-done
-
 	overallAgree, overallTotal := 0, 0
 	for coll, n := range total {
 		frac := float64(agree[coll]) / float64(n)
