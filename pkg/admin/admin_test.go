@@ -73,7 +73,7 @@ func TestMetricsEndpointIncludesEveryRegisteredInstrument(t *testing.T) {
 	// The acceptance-criteria instruments, with live series.
 	for _, want := range []string{
 		`pmlmpi_selections_total{collective="alltoall",algorithm="pairwise"} 1`,
-		`pmlmpi_select_duration_seconds_count{collective="alltoall",path="cold"} 1`,
+		`pmlmpi_select_duration_seconds_count{collective="alltoall",algorithm="pairwise",path="cold"} 1`,
 		`pmlmpi_forest_predict_duration_seconds_count{collective="alltoall"} 1`,
 		"pmlmpi_bundle_loaded 1",
 		`pmlmpi_bundle_forest_trees{collective="allgather"} 60`,

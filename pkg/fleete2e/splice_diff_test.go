@@ -15,6 +15,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/pml-mpi/pmlmpi/pkg/gateway"
 	"github.com/pml-mpi/pmlmpi/pkg/obs"
@@ -260,7 +261,8 @@ func TestBatchReplyEqualsReflectiveMerge(t *testing.T) {
 		recordSpecs = append(recordSpecs, gateway.ReplicaSpec{ID: id, URL: recordSrv[len(recordSrv)-1].URL})
 		playSpecs = append(playSpecs, gateway.ReplicaSpec{ID: id, URL: playSrv[len(playSrv)-1].URL})
 	}
-	spliced, err := gateway.New(obs.NewForTest(), gateway.Config{Replicas: recordSpecs, MaxAttempts: 3})
+	proxyClient := gateway.NewProxyClient(10 * time.Second)
+	spliced, err := gateway.New(obs.NewForTest(), gateway.Config{Replicas: recordSpecs, MaxAttempts: 3, Client: proxyClient})
 	if err != nil {
 		t.Fatalf("gateway.New: %v", err)
 	}
@@ -352,6 +354,11 @@ func TestBatchReplyEqualsReflectiveMerge(t *testing.T) {
 	compare("recovered fleet", 10)
 	recordSrv[2].Close()
 	playSrv[2].Close()
+	// Close hangs up r2's end of the gateway's pooled connections, but the
+	// gateway's transport notices only when its read loop next runs; on a
+	// busy host a request can still pick such a connection and read EOF.
+	// Drop the pool so the next attempt dials r2 and is refused.
+	proxyClient.CloseIdleConnections()
 	compare("r2 killed", 10)
 	if got := spliced.Snapshot()[2]; got.Healthy || !strings.Contains(got.LastError, "refused") {
 		t.Fatalf("killed replica r2 in the ledger: healthy=%v last_error=%q, want down with a refused connection", got.Healthy, got.LastError)

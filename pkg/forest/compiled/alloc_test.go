@@ -67,29 +67,3 @@ func TestPredictBatchZeroAllocSteadyState(t *testing.T) {
 		t.Fatalf("sequential PredictBatch allocates %.1f objects per call, want 0", allocs)
 	}
 }
-
-// TestUnmarshalBinaryZeroAllocWarm pins the decode path: re-decoding a
-// same-shaped forest into a warm receiver reuses its arena and allocates
-// nothing.
-func TestUnmarshalBinaryZeroAllocWarm(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are unreliable under -race")
-	}
-	cf, _ := allocFixture(t)
-	data, err := cf.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm := &compiled.Forest{}
-	if err := warm.UnmarshalBinary(data); err != nil { // allocate the arena once
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if err := warm.UnmarshalBinary(data); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("warm UnmarshalBinary allocates %.1f objects per call, want 0", allocs)
-	}
-}

@@ -10,9 +10,8 @@
 // the split threshold and a meta word (the split feature's byte offset, the
 // byte distance to the right child) into 16 bytes, so a descent step costs
 // one cache line per node — a fraction of the pointer representation's
-// 56-byte nodes. The wire format (binary.go) stays plain structure-of-arrays:
-// featureIdx []uint16, threshold []float64, childOffset []int32, plus leaf
-// payloads.
+// 56-byte nodes. The arena has no wire format of its own: bundles ship
+// the pointer forest (JSON or PMLB) and Compile builds the arena at load.
 //
 // The batch walk (PredictBatch) descends branch-free. Its step (step, in
 // batch.go) turns x <= t into a 0/1 flag and lets the flag mask the right
@@ -349,10 +348,11 @@ const treeChunk = 64
 // requires it; see accumulate for the leaf-only case).
 // The loops read nodes and x through raw pointers: bounds checks cost ~15%
 // of the whole predict here, and every index is already proven in range
-// before evaluation ever starts — Compile and UnmarshalBinary validate that
-// each node's right child stays inside its tree's arena segment, each
-// split's feature index is below nFeatures (and PredictInto rejects vectors
-// shorter than nFeatures), and a parked leaf reads feature 0.
+// before evaluation ever starts — Compile validates the forest before it
+// builds the arena, so each node's right child stays inside its tree's
+// arena segment, each split's feature index is below nFeatures (and
+// PredictInto rejects vectors shorter than nFeatures), and a parked leaf
+// reads feature 0.
 func walkChunk(nodes []node, x []float64, roots []int32, lw []uint64) {
 	np := unsafe.Pointer(unsafe.SliceData(nodes))
 	xp := unsafe.Pointer(unsafe.SliceData(x))

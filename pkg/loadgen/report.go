@@ -6,9 +6,9 @@ import (
 	"os"
 	"path/filepath"
 
-	"github.com/pml-mpi/pmlmpi/pkg/analytics"
 	"github.com/pml-mpi/pmlmpi/pkg/obs"
 	"github.com/pml-mpi/pmlmpi/pkg/registry"
+	"github.com/pml-mpi/pmlmpi/pkg/selector"
 )
 
 // ReportSchema versions the BENCH_loadgen.json layout; bump it on any
@@ -29,7 +29,7 @@ type Report struct {
 
 	// Analytics is the server's post-run /debug/analytics rollup
 	// (cumulative since server start; equal to the run on a fresh server).
-	Analytics []analytics.Row `json:"analytics,omitempty"`
+	Analytics []selector.AnalyticsRow `json:"analytics,omitempty"`
 	// Shadow is the post-run /debug/shadow report when shadow evaluation
 	// is mounted.
 	Shadow *registry.ShadowReport `json:"shadow,omitempty"`

@@ -9,8 +9,8 @@ import (
 	"testing"
 	"time"
 
-	"github.com/pml-mpi/pmlmpi/pkg/analytics"
 	"github.com/pml-mpi/pmlmpi/pkg/obs"
+	"github.com/pml-mpi/pmlmpi/pkg/selector"
 	"github.com/pml-mpi/pmlmpi/pkg/serve"
 )
 
@@ -123,19 +123,20 @@ func TestRunEndToEnd(t *testing.T) {
 		t.Fatal("no analytics rows scraped")
 	}
 
-	// Quantile cross-validation: the /metrics histogram delta and the
-	// /debug/analytics rollup watched the same selects through different
-	// bucket layouts. A mixture's quantile lies within the min/max of its
-	// components' quantiles, so the merged metric-side estimate must land
-	// inside the analytics rows' span, widened by one bucket factor on
-	// each side (factor-2 analytics buckets × ~factor-2.5 LatencyBuckets).
+	// Quantile cross-validation: the /metrics histogram delta merges every
+	// series, while each /debug/analytics row reads one (collective,
+	// algorithm) and clamps to its exact min/max. A mixture's quantile lies
+	// within the min/max of its components' quantiles, so the merged
+	// metric-side estimate must land inside the analytics rows' span,
+	// widened by one bucket factor on each side (~factor-2.5
+	// LatencyBuckets, the clamp included).
 	checkQuantileAgainstAnalytics(t, "p50", rep.Delta.SelectLatency.P50US, rep.Analytics,
-		func(r analytics.Row) float64 { return r.P50US })
+		func(r selector.AnalyticsRow) float64 { return r.P50US })
 	checkQuantileAgainstAnalytics(t, "p99", rep.Delta.SelectLatency.P99US, rep.Analytics,
-		func(r analytics.Row) float64 { return r.P99US })
+		func(r selector.AnalyticsRow) float64 { return r.P99US })
 }
 
-func checkQuantileAgainstAnalytics(t *testing.T, label string, gotUS float64, rows []analytics.Row, pick func(analytics.Row) float64) {
+func checkQuantileAgainstAnalytics(t *testing.T, label string, gotUS float64, rows []selector.AnalyticsRow, pick func(selector.AnalyticsRow) float64) {
 	t.Helper()
 	const tolerance = 5.0 // one bucket boundary of slack on each estimator
 	lo, hi := pick(rows[0]), pick(rows[0])

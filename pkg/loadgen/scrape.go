@@ -11,10 +11,10 @@ import (
 	"strconv"
 	"strings"
 
-	"github.com/pml-mpi/pmlmpi/pkg/analytics"
 	"github.com/pml-mpi/pmlmpi/pkg/modelhealth"
 	"github.com/pml-mpi/pmlmpi/pkg/obs"
 	"github.com/pml-mpi/pmlmpi/pkg/registry"
+	"github.com/pml-mpi/pmlmpi/pkg/selector"
 )
 
 // probe scrapes the server's observability surface before and after a run
@@ -67,9 +67,9 @@ func (p *probe) health(ctx context.Context) (serverHealth, error) {
 	return h, err
 }
 
-func (p *probe) analytics(ctx context.Context) ([]analytics.Row, error) {
+func (p *probe) analytics(ctx context.Context) ([]selector.AnalyticsRow, error) {
 	var resp struct {
-		Rows []analytics.Row `json:"rows"`
+		Rows []selector.AnalyticsRow `json:"rows"`
 	}
 	err := p.getJSON(ctx, "/debug/analytics", &resp)
 	return resp.Rows, err
@@ -402,19 +402,22 @@ func (after *metricsSnapshot) delta(before *metricsSnapshot) ServerDelta {
 	}
 
 	// Histogram delta: cumulative per-le differences, then de-cumulated
-	// into per-bucket counts (+Inf last) for SummaryFromBuckets.
-	bounds := after.bounds
-	counts := make([]uint64, len(bounds)+1)
+	// into per-bucket counts (+Inf last).
+	b := obs.BucketSnapshot{
+		Bounds: after.bounds,
+		Counts: make([]uint64, len(after.bounds)+1),
+		Sum:    after.sum - before.sum,
+		Count:  clampU64(after.count - before.count),
+	}
 	var prev float64
-	for i, le := range bounds {
+	for i, le := range b.Bounds {
 		cum := after.buckets[le] - before.buckets[le]
-		counts[i] = clampU64(cum - prev)
+		b.Counts[i] = clampU64(cum - prev)
 		prev = cum
 	}
 	inf := math.Inf(1)
-	counts[len(bounds)] = clampU64((after.buckets[inf] - before.buckets[inf]) - prev)
-	count := clampU64(after.count - before.count)
-	d.SelectLatency = obs.SummaryFromBuckets(bounds, counts, after.sum-before.sum, count)
+	b.Counts[len(b.Bounds)] = clampU64((after.buckets[inf] - before.buckets[inf]) - prev)
+	d.SelectLatency = b.Summary()
 	return d
 }
 

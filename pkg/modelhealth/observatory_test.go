@@ -1,6 +1,7 @@
 package modelhealth
 
 import (
+	"math"
 	"testing"
 
 	"github.com/pml-mpi/pmlmpi/pkg/bundle"
@@ -266,5 +267,37 @@ func TestFlightRecorderWraparound(t *testing.T) {
 		if want := uint64(25 + i); r.Seq != want {
 			t.Fatalf("dump[%d].Seq = %d, want %d", i, r.Seq, want)
 		}
+	}
+}
+
+// TestScorecardQuantilesPinned feeds a fixed decision sequence and pins the
+// scorecard's margin and latency quantiles and the flight recorder's
+// latency-tail threshold, bit for bit, to the values the sketch's own
+// quantile code produced before it moved onto obs.BucketSnapshot.
+func TestScorecardQuantilesPinned(t *testing.T) {
+	o := New(obs.NewRegistry(), Config{FlightRecSize: 16})
+	o.OnSwap(1, &bundle.Bundle{})
+	var tails []int64
+	for i := 0; i < 3000; i++ {
+		margin := float64((i*37)%101) / 100
+		lat := int64(800 + (i*i*131)%250_000)
+		if i%50 == 0 {
+			lat += 3_000_000
+		}
+		o.RecordDecision(1, "allgather", "ring", nil, nil, margin, i%3 == 0, lat)
+		if (i+1)%1024 == 0 {
+			tails = append(tails, o.latencyTailNS.Load())
+		}
+	}
+	sc, _ := o.ActiveScorecard()
+	got := []float64{sc.MarginP10, sc.MarginP50, sc.MarginP90, sc.LatencyP50NS, sc.LatencyP99NS}
+	want := []float64{0.07500000000000001, 0.475, 0.875, 96000, 3.072e+06}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Errorf("scorecard quantile %d = %v, want %v", i, got[i], want[i])
+		}
+	}
+	if len(tails) != 2 || tails[0] != 4096000 || tails[1] != 4096000 || o.latencyTailNS.Load() != 4096000 {
+		t.Errorf("latency-tail thresholds = %v then %d, want 4096000 throughout", tails, o.latencyTailNS.Load())
 	}
 }

@@ -9,21 +9,23 @@ package modelhealth
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync/atomic"
+
+	"github.com/pml-mpi/pmlmpi/pkg/obs"
 )
 
-// Sketch is a deterministic, mergeable histogram sketch over a fixed set
-// of bin edges decided at construction. Bin i covers (edges[i-1],
-// edges[i]]; the first bin is open below and the last (index len(edges))
-// open above, so every finite value lands somewhere and the layout matches
-// bundle.FeatureDist exactly. All state is integer counts updated with
-// atomics: observations commute exactly (integer addition), so the final
-// counts — and everything derived from them — are identical for any
-// goroutine interleaving of the same multiset of observations, and Merge
-// is exactly associative and commutative. No floating-point accumulators
-// anywhere, by design.
+// Sketch is a deterministic histogram sketch over a fixed set of bin edges
+// decided at construction. Bin i covers (edges[i-1], edges[i]]; the first
+// bin is open below and the last (index len(edges)) open above, so every
+// finite value lands somewhere and the layout matches bundle.FeatureDist
+// exactly. All state is integer counts updated with atomics: observations
+// commute exactly (integer addition), so the final counts — and everything
+// derived from them — are identical for any goroutine interleaving of the
+// same multiset of observations. No floating-point accumulators anywhere,
+// by design. It is not an obs.Histogram because the drift monitor observes
+// about two sketches per feature on every decision, and lock-free atomic
+// adds are the cheaper store; its estimates are obs.BucketSnapshot's.
 type Sketch struct {
 	edges  []float64
 	counts []atomic.Uint64
@@ -31,18 +33,10 @@ type Sketch struct {
 }
 
 // NewSketch builds a sketch over the given interior cut points, which must
-// be non-empty, finite, and strictly ascending.
+// be non-empty, finite, and strictly ascending (obs.CheckBounds).
 func NewSketch(edges []float64) (*Sketch, error) {
-	if len(edges) == 0 {
-		return nil, fmt.Errorf("sketch: need at least one bin edge")
-	}
-	for i, e := range edges {
-		if math.IsNaN(e) || math.IsInf(e, 0) {
-			return nil, fmt.Errorf("sketch: edge %d is not finite", i)
-		}
-		if i > 0 && e <= edges[i-1] {
-			return nil, fmt.Errorf("sketch: edges not strictly ascending at %d", i)
-		}
+	if err := obs.CheckBounds(edges); err != nil {
+		return nil, fmt.Errorf("sketch: %w", err)
 	}
 	return &Sketch{
 		edges:  append([]float64(nil), edges...),
@@ -59,9 +53,6 @@ func MustSketch(edges []float64) *Sketch {
 	}
 	return s
 }
-
-// Buckets returns the number of bins (len(edges)+1).
-func (s *Sketch) Buckets() int { return len(s.counts) }
 
 // Edges returns a copy of the interior cut points.
 func (s *Sketch) Edges() []float64 { return append([]float64(nil), s.edges...) }
@@ -82,9 +73,6 @@ func (s *Sketch) Observe(v float64) {
 // Total returns the number of observations recorded.
 func (s *Sketch) Total() uint64 { return s.total.Load() }
 
-// Count returns the count of one bin.
-func (s *Sketch) Count(i int) uint64 { return s.counts[i].Load() }
-
 // Counts returns a snapshot of all bin counts. Concurrent observers may
 // land between bin loads; callers needing an exact cut must quiesce first.
 func (s *Sketch) Counts() []uint64 {
@@ -95,8 +83,8 @@ func (s *Sketch) Counts() []uint64 {
 	return out
 }
 
-// CountsInto is Counts without the allocation; dst must have Buckets()
-// entries. Returns the total across dst.
+// CountsInto is Counts without the allocation; dst must have
+// len(edges)+1 entries. Returns the total across dst.
 func (s *Sketch) CountsInto(dst []uint64) uint64 {
 	var t uint64
 	for i := range s.counts {
@@ -104,29 +92,6 @@ func (s *Sketch) CountsInto(dst []uint64) uint64 {
 		t += dst[i]
 	}
 	return t
-}
-
-// Merge adds o's counts into s. Both sketches must share bit-identical
-// edges. Elementwise integer addition makes merging exactly associative
-// and commutative: any merge tree over the same set of sketches yields
-// identical counts.
-func (s *Sketch) Merge(o *Sketch) error {
-	if len(s.edges) != len(o.edges) {
-		return fmt.Errorf("sketch: merge edge count mismatch (%d vs %d)", len(s.edges), len(o.edges))
-	}
-	for i := range s.edges {
-		if math.Float64bits(s.edges[i]) != math.Float64bits(o.edges[i]) {
-			return fmt.Errorf("sketch: merge edge %d mismatch (%v vs %v)", i, s.edges[i], o.edges[i])
-		}
-	}
-	var added uint64
-	for i := range s.counts {
-		c := o.counts[i].Load()
-		s.counts[i].Add(c)
-		added += c
-	}
-	s.total.Add(added)
-	return nil
 }
 
 // Reset zeroes every bin. Not linearizable against concurrent Observe
@@ -140,59 +105,34 @@ func (s *Sketch) Reset() {
 	s.total.Store(0)
 }
 
-// Quantile returns a point estimate of the q-quantile (q in [0,1]) by
-// locating the bin holding the ceil(q*total)-th observation and linearly
-// interpolating by rank inside it. The open outer bins collapse to their
-// single known edge. Returns 0 on an empty sketch. The true q-quantile of
-// the observed multiset always falls in the same bin as the estimate —
-// the rank-error bound the property tests pin.
-func (s *Sketch) Quantile(q float64) float64 {
-	lo, hi, ok := s.quantileBin(q)
-	if !ok {
-		return 0
+// quantileCounts is the bin count up to which the quantile readers keep
+// their counts copy on the stack.
+const quantileCounts = 32
+
+// buckets freezes the bin counts into dst as an obs.BucketSnapshot whose
+// bounds are the edges.
+func (s *Sketch) buckets(dst []uint64) obs.BucketSnapshot {
+	if cap(dst) < len(s.counts) {
+		dst = make([]uint64, len(s.counts))
 	}
-	return lo + (hi-lo)*0.5
+	dst = dst[:len(s.counts)]
+	return obs.BucketSnapshot{Bounds: s.edges, Counts: dst, Count: s.CountsInto(dst)}
+}
+
+// Quantile returns a point estimate of the q-quantile (q in [0,1]): the
+// midpoint of QuantileBracket, 0 on an empty sketch.
+func (s *Sketch) Quantile(q float64) float64 {
+	var buf [quantileCounts]uint64
+	return s.buckets(buf[:]).BracketMid(q)
 }
 
 // QuantileBracket returns the [lo,hi] value range of the bin containing
-// the q-quantile, or (0,0) on an empty sketch.
+// the q-quantile (obs.BucketSnapshot.Bracket), or (0,0) on an empty
+// sketch. Allocation-free for up to quantileCounts bins.
 func (s *Sketch) QuantileBracket(q float64) (float64, float64) {
-	lo, hi, _ := s.quantileBin(q)
+	var buf [quantileCounts]uint64
+	lo, hi, _ := s.buckets(buf[:]).Bracket(q)
 	return lo, hi
-}
-
-func (s *Sketch) quantileBin(q float64) (lo, hi float64, ok bool) {
-	total := s.Total()
-	if total == 0 {
-		return 0, 0, false
-	}
-	if q < 0 {
-		q = 0
-	} else if q > 1 {
-		q = 1
-	}
-	rank := uint64(math.Ceil(q * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum uint64
-	for i := range s.counts {
-		c := s.counts[i].Load()
-		if cum+c >= rank {
-			switch {
-			case i == 0:
-				return s.edges[0], s.edges[0], true
-			case i == len(s.edges):
-				last := s.edges[len(s.edges)-1]
-				return last, last, true
-			default:
-				return s.edges[i-1], s.edges[i], true
-			}
-		}
-		cum += c
-	}
-	last := s.edges[len(s.edges)-1]
-	return last, last, true
 }
 
 // SketchSnapshot is the JSON form of a sketch, used by the debug endpoints

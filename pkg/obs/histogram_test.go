@@ -18,7 +18,7 @@ func TestExponentialBuckets(t *testing.T) {
 			t.Errorf("bucket[%d] = %v, want %v", i, got[i], want[i])
 		}
 	}
-	if !validBuckets(got) {
+	if CheckBounds(got) != nil {
 		t.Error("ExponentialBuckets produced non-ascending bounds")
 	}
 }

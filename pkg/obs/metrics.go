@@ -1,8 +1,9 @@
 // Package obs is the observability core for PML-MPI: a dependency-free
-// metrics registry with Prometheus text exposition, structured JSON
-// logging, and lightweight tracing spans. Every subsystem (bundle loading,
-// forest inference, selection) reports through this package so that the
-// admin surface can expose a single consistent view.
+// metrics registry with Prometheus text exposition, the one estimator that
+// turns bucket counts into quantiles and fractions (BucketSnapshot),
+// structured JSON logging, and lightweight tracing spans. Every subsystem
+// (bundle loading, forest inference, selection) reports through this
+// package so that the admin surface can expose a single consistent view.
 package obs
 
 import (
@@ -47,19 +48,6 @@ func ExponentialBuckets(start, factor float64, count int) []float64 {
 		ub *= factor
 	}
 	return out
-}
-
-// validBuckets reports whether bounds are strictly ascending and finite.
-func validBuckets(bounds []float64) bool {
-	for i, ub := range bounds {
-		if math.IsNaN(ub) || math.IsInf(ub, 0) {
-			return false
-		}
-		if i > 0 && ub <= bounds[i-1] {
-			return false
-		}
-	}
-	return true
 }
 
 const (
@@ -110,26 +98,28 @@ type histState struct {
 	stripes [histStripeCount]histStripe
 }
 
+// histStripe fills 64 bytes, a cache line's worth, so adjacent stripes
+// don't false-share under concurrent observers.
 type histStripe struct {
-	mu     sync.Mutex
-	sum    float64
-	count  uint64
-	counts []uint64 // per-bucket, non-cumulative; last slot is +Inf
-	// Pad each stripe to its own cache line so adjacent stripes don't
-	// false-share under concurrent observers.
-	_ [16]byte
+	mu       sync.Mutex
+	sum      float64
+	min, max float64
+	count    uint64
+	counts   []uint64 // per-bucket, non-cumulative; last slot is +Inf
 }
 
 func newHistState(nBuckets int) *histState {
 	st := &histState{}
 	for i := range st.stripes {
 		st.stripes[i].counts = make([]uint64, nBuckets+1) // +1 for +Inf
+		st.stripes[i].min = math.Inf(1)
+		st.stripes[i].max = math.Inf(-1)
 	}
 	return st
 }
 
 // observe records v into one stripe. The bucket index is resolved outside
-// the lock; only the chosen stripe is held, and only for three field writes.
+// the lock; only the chosen stripe is held, and only for a few field writes.
 func (st *histState) observe(buckets []float64, v float64) {
 	idx := sort.SearchFloat64s(buckets, v) // first bound >= v, i.e. v <= bound
 	s := &st.stripes[st.next.Add(1)&(histStripeCount-1)]
@@ -137,6 +127,12 @@ func (st *histState) observe(buckets []float64, v float64) {
 	s.counts[idx]++
 	s.sum += v
 	s.count++
+	if v < s.min {
+		s.min = v
+	}
+	if v > s.max {
+		s.max = v
+	}
 	s.mu.Unlock()
 }
 
@@ -144,24 +140,29 @@ func (st *histState) observe(buckets []float64, v float64) {
 // time, so the merged view is not a single atomic cut — fine for
 // monitoring, where per-scrape skew of a few in-flight observations is
 // expected.
-func (st *histState) snapshot(nBuckets int) (counts []uint64, sum float64, count uint64) {
-	counts = make([]uint64, nBuckets+1)
+func (st *histState) snapshot(bounds []float64) BucketSnapshot {
+	b := BucketSnapshot{Bounds: bounds, Counts: make([]uint64, len(bounds)+1), Min: math.Inf(1), Max: math.Inf(-1)}
 	for i := range st.stripes {
 		s := &st.stripes[i]
 		s.mu.Lock()
-		for b, c := range s.counts {
-			counts[b] += c
+		for j, c := range s.counts {
+			b.Counts[j] += c
 		}
-		sum += s.sum
-		count += s.count
+		b.Sum += s.sum
+		b.Count += s.count
+		b.Min = math.Min(b.Min, s.min)
+		b.Max = math.Max(b.Max, s.max)
 		s.mu.Unlock()
 	}
-	return counts, sum, count
+	b.HasMinMax = b.Count > 0
+	return b
 }
 
 func (r *Registry) register(name, help, typ string, buckets []float64, labelNames []string) *family {
-	if typ == typeHistogram && !validBuckets(buckets) {
-		panic(fmt.Sprintf("obs: metric %q has invalid buckets %v (must be strictly ascending and finite)", name, buckets))
+	if typ == typeHistogram {
+		if err := CheckBounds(buckets); err != nil {
+			panic(fmt.Sprintf("obs: metric %q has invalid buckets %v: %v", name, buckets, err))
+		}
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -332,8 +333,22 @@ func (b BoundHistogram) Observe(v float64) {
 
 // Count returns the total observation count of one series (mainly for tests).
 func (h *Histogram) Count(labelValues ...string) uint64 {
-	_, _, count := h.f.get(labelValues).hist.snapshot(len(h.f.buckets))
-	return count
+	return h.Snapshot(labelValues...).Count
+}
+
+// Each calls fn with the label values (read-only) and a snapshot of every
+// series of the family, including bound series nothing has observed yet,
+// in no particular order.
+func (h *Histogram) Each(fn func(labelValues []string, b BucketSnapshot)) {
+	h.f.mu.Lock()
+	all := make([]*series, 0, len(h.f.series))
+	for _, s := range h.f.series {
+		all = append(all, s)
+	}
+	h.f.mu.Unlock()
+	for _, s := range all {
+		fn(s.labelValues, s.hist.snapshot(h.f.buckets))
+	}
 }
 
 // WritePrometheus writes every registered family in Prometheus text
@@ -374,18 +389,18 @@ func (f *family) write(w io.Writer) {
 		case typeCounter, typeGauge:
 			fmt.Fprintf(w, "%s%s %s\n", f.name, labelString(f.labelNames, s.labelValues, "", ""), formatFloat(s.value))
 		case typeHistogram:
-			counts, sum, count := s.hist.snapshot(len(f.buckets))
+			b := s.hist.snapshot(f.buckets)
 			cum := uint64(0)
 			for i, ub := range f.buckets {
-				cum += counts[i]
+				cum += b.Counts[i]
 				fmt.Fprintf(w, "%s_bucket%s %d\n", f.name,
 					labelString(f.labelNames, s.labelValues, "le", formatFloat(ub)), cum)
 			}
-			cum += counts[len(f.buckets)]
+			cum += b.Counts[len(f.buckets)]
 			fmt.Fprintf(w, "%s_bucket%s %d\n", f.name,
 				labelString(f.labelNames, s.labelValues, "le", "+Inf"), cum)
-			fmt.Fprintf(w, "%s_sum%s %s\n", f.name, labelString(f.labelNames, s.labelValues, "", ""), formatFloat(sum))
-			fmt.Fprintf(w, "%s_count%s %d\n", f.name, labelString(f.labelNames, s.labelValues, "", ""), count)
+			fmt.Fprintf(w, "%s_sum%s %s\n", f.name, labelString(f.labelNames, s.labelValues, "", ""), formatFloat(b.Sum))
+			fmt.Fprintf(w, "%s_count%s %d\n", f.name, labelString(f.labelNames, s.labelValues, "", ""), b.Count)
 		}
 	}
 	f.mu.Unlock()

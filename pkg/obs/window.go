@@ -83,9 +83,6 @@ func NewWindowRing(slotDur time.Duration, slots int, bounds []float64) *WindowRi
 // Record/Snapshot traffic.
 func (w *WindowRing) SetClock(now func() time.Time) { w.now = now }
 
-// Bounds returns the ring's bucket upper bounds (shared, read-only).
-func (w *WindowRing) Bounds() []float64 { return w.bounds }
-
 // MaxWindow is the longest trailing window the ring can answer.
 func (w *WindowRing) MaxWindow() time.Duration { return w.slotDur * time.Duration(w.slots) }
 
@@ -115,12 +112,11 @@ func (w *WindowRing) Record(seconds float64, ok bool) {
 	st.mu.Unlock()
 }
 
-// WindowSnapshot is the merged view of one trailing window.
+// WindowSnapshot is the merged view of one trailing window: its latency
+// buckets (no recorded extremes) plus the error tally.
 type WindowSnapshot struct {
-	Count  uint64
+	BucketSnapshot
 	Errors uint64
-	Sum    float64
-	Counts []uint64 // non-cumulative bucket counts, +Inf last
 }
 
 // Snapshot merges every slot whose period lies inside the trailing window
@@ -142,7 +138,7 @@ func (w *WindowRing) Snapshot(window time.Duration) WindowSnapshot {
 	}
 	oldest := absNow - n + 1
 
-	snap := WindowSnapshot{Counts: make([]uint64, len(w.bounds)+1)}
+	snap := WindowSnapshot{BucketSnapshot: BucketSnapshot{Bounds: w.bounds, Counts: make([]uint64, len(w.bounds)+1)}}
 	for i := range w.stripes {
 		st := &w.stripes[i]
 		st.mu.Lock()
@@ -165,6 +161,5 @@ func (w *WindowRing) Snapshot(window time.Duration) WindowSnapshot {
 
 // Summary rolls the trailing window up into a quantile Summary.
 func (w *WindowRing) Summary(window time.Duration) Summary {
-	s := w.Snapshot(window)
-	return SummaryFromBuckets(w.bounds, s.Counts, s.Sum, s.Count)
+	return w.Snapshot(window).Summary()
 }

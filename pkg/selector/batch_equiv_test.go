@@ -218,8 +218,8 @@ func sameBooks(t *testing.T, batch, singles equivTwin, splitToo bool) {
 				t.Errorf("selections{%s,%s}: batch %v, singles %v", collective, algorithm, got, want)
 			}
 		}
-		cold := func(x *Selector) uint64 { return x.duration.Count(collective, PathCold) }
-		hit := func(x *Selector) uint64 { return x.duration.Count(collective, PathCacheHit) }
+		cold := func(x *Selector) uint64 { return pathCount(x, collective, PathCold) }
+		hit := func(x *Selector) uint64 { return pathCount(x, collective, PathCacheHit) }
 		if splitToo && (cold(b) != cold(s) || hit(b) != hit(s)) {
 			t.Errorf("select durations for %s: batch %d cold + %d hit, singles %d cold + %d hit",
 				collective, cold(b), hit(b), cold(s), hit(s))

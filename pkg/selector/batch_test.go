@@ -241,7 +241,7 @@ func TestSelectBatchCancelledMidBatch(t *testing.T) {
 					t.Errorf("item %d: decision %v, error %v, want context.Canceled", i, r.Decision, r.Err)
 				}
 			}
-			if got := s.duration.Count("alltoall", PathCold); got != 0 {
+			if got := pathCount(s, "alltoall", PathCold); got != 0 {
 				t.Errorf("%d alltoall forest walks after the cancellation", got)
 			}
 			if got, want := sinks.ok.Load(), int64(len(warm)+len(tc.ok)); got != want || sinks.failed.Load() != 0 {
@@ -278,7 +278,7 @@ func TestBatchRepeatedKey(t *testing.T) {
 				t.Errorf("%d cache entries, item %d: %+v does not share the first occurrence's decision %+v", entries, i, r.Decision, first)
 			}
 		}
-		if got := s.duration.Count("allgather", PathCold); got != uint64(len(pts)) {
+		if got := pathCount(s, "allgather", PathCold); got != uint64(len(pts)) {
 			t.Errorf("%d cache entries: %d forest walks for %d distinct keys", entries, got, len(pts))
 		}
 		st, _ := s.CacheStats()

@@ -181,10 +181,10 @@ func TestCacheHitIsNotDarkTelemetry(t *testing.T) {
 	}
 
 	// The duration histogram has one observation per path label.
-	if got := s.duration.Count("allgather", PathCold); got != 1 {
+	if got := pathCount(s, "allgather", PathCold); got != 1 {
 		t.Errorf("cold duration count = %d, want 1", got)
 	}
-	if got := s.duration.Count("allgather", PathCacheHit); got != 1 {
+	if got := pathCount(s, "allgather", PathCacheHit); got != 1 {
 		t.Errorf("cache_hit duration count = %d, want 1", got)
 	}
 

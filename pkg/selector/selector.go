@@ -14,7 +14,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/pml-mpi/pmlmpi/pkg/analytics"
 	"github.com/pml-mpi/pmlmpi/pkg/bundle"
 	"github.com/pml-mpi/pmlmpi/pkg/cache"
 	"github.com/pml-mpi/pmlmpi/pkg/forest"
@@ -125,7 +124,6 @@ type Selector struct {
 	ring       *decisionRing
 	cache      *cache.Cache
 	quantum    float64
-	agg        *analytics.Aggregator
 	shadow     ShadowSink
 	slo        SLOSink
 	health     *modelhealth.Observatory
@@ -202,14 +200,13 @@ func NewFromSource(src Source, o *obs.Obs, cfg Config) *Selector {
 		shadow:       cfg.Shadow,
 		slo:          cfg.SLO,
 		health:       cfg.Health,
-		agg:          analytics.New(nil),
 		selections: reg.Counter("pmlmpi_selections_total",
 			"Completed algorithm selections.", "collective", "algorithm"),
 		selErrors: reg.Counter("pmlmpi_selection_errors_total",
 			"Failed algorithm selections.", "collective", "reason"),
 		duration: reg.Histogram("pmlmpi_select_duration_seconds",
-			"End-to-end Select latency, split by cold vs. cache-hit path.",
-			obs.LatencyBuckets, "collective", "path"),
+			"End-to-end Select latency per chosen algorithm, split by cold vs. cache-hit path.",
+			obs.LatencyBuckets, "collective", "algorithm", "path"),
 		batches: reg.Counter("pmlmpi_batch_requests_total",
 			"SelectBatch calls."),
 		batchSize: reg.Histogram("pmlmpi_batch_size_items",
@@ -286,7 +283,6 @@ type decisionInstr struct {
 	algo      string
 	sel       obs.BoundCounter
 	cold, hit obs.BoundHistogram
-	cell      *analytics.Cell
 }
 
 func (s *Selector) bindDecision(collective string, class int) decisionInstr {
@@ -294,9 +290,8 @@ func (s *Selector) bindDecision(collective string, class int) decisionInstr {
 	return decisionInstr{
 		algo: algo,
 		sel:  s.selections.Bind(collective, algo),
-		cold: s.duration.Bind(collective, PathCold),
-		hit:  s.duration.Bind(collective, PathCacheHit),
-		cell: s.agg.Cell(collective, algo),
+		cold: s.duration.Bind(collective, algo, PathCold),
+		hit:  s.duration.Bind(collective, algo, PathCacheHit),
 	}
 }
 
@@ -312,11 +307,6 @@ func (s *Selector) instruments(collective string, class int) *decisionInstr {
 	in := s.bindDecision(collective, class)
 	return &in
 }
-
-// Analytics snapshots the per-collective × per-algorithm selection rollup
-// (counts, cache-hit share, latency quantiles), as served on
-// /debug/analytics.
-func (s *Selector) Analytics() []analytics.Row { return s.agg.Snapshot() }
 
 // Bundle returns the currently active model bundle (nil when the source
 // has no active generation).
@@ -472,7 +462,7 @@ const inlineClasses = 8
 
 // entry is the one allocation behind a fresh decision: the Decision the
 // caller receives, inline room for its probabilities and votes, and the
-// pre-resolved metric series and analytics cell a later hit reports into.
+// pre-resolved metric series a later hit reports into.
 // It doubles as the decision-cache payload — the cache stores the pointer,
 // so a miss boxes nothing — which is why a returned decision is read-only:
 // hits copy it into a per-request envelope, nobody writes to it again.
@@ -490,14 +480,13 @@ func (e *entry) prediction() forest.Prediction {
 }
 
 // completeCold makes e the decision for pred, reports it everywhere a cold
-// decision is counted — the bound series, analytics, model health and the
-// ring. features is the map the decision keeps; x is its extracted vector,
-// which nothing retains.
+// decision is counted — the bound series, model health and the ring.
+// features is the map the decision keeps; x is its extracted vector, which
+// nothing retains.
 func (s *Selector) completeCold(e *entry, c *bundle.Collective, gen uint64, collective string, features map[string]float64, x []float64, pred forest.Prediction, reqID string, start time.Time, latency time.Duration) {
 	in := s.instruments(collective, pred.Class)
 	in.sel.Inc()
 	in.cold.Observe(latency.Seconds())
-	in.cell.Record(latency.Seconds(), false)
 
 	margin := forest.Margin(pred.Probs)
 	e.in = in
@@ -533,7 +522,6 @@ func (s *Selector) completeHit(d *Decision, e *entry, c *bundle.Collective, gen 
 	d.Cached = true
 	e.in.sel.Inc()
 	e.in.hit.Observe(elapsed.Seconds())
-	e.in.cell.Record(elapsed.Seconds(), true)
 	if s.health != nil {
 		s.health.RecordDecision(gen, collective, d.Algorithm,
 			c.Features, x, d.Margin, true, d.LatencyNS)

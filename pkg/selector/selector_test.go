@@ -62,7 +62,7 @@ func TestSelectRecordsDecisionAndMetrics(t *testing.T) {
 	out := expo.String()
 	for _, want := range []string{
 		`pmlmpi_selections_total{collective="allgather",algorithm="bruck"} 1`,
-		`pmlmpi_select_duration_seconds_count{collective="allgather",path="cold"} 1`,
+		`pmlmpi_select_duration_seconds_count{collective="allgather",algorithm="bruck",path="cold"} 1`,
 		`pmlmpi_forest_predict_duration_seconds_count{collective="allgather"} 1`,
 		"pmlmpi_bundle_loaded 1",
 		`pmlmpi_span_duration_seconds_count{span="selector.decide"} 1`,
@@ -190,4 +190,15 @@ func TestDecisionFeaturesAreCopied(t *testing.T) {
 	if d.Features["ppn"] != allgatherFeatures["ppn"] {
 		t.Error("decision shares the caller's feature map instead of copying it")
 	}
+}
+
+// pathCount sums one path's pmlmpi_select_duration_seconds observations for
+// a collective across its algorithms.
+func pathCount(s *Selector, collective, path string) (n uint64) {
+	s.duration.Each(func(lv []string, b obs.BucketSnapshot) {
+		if lv[0] == collective && lv[2] == path {
+			n += b.Count
+		}
+	})
+	return n
 }

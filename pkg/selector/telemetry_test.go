@@ -120,7 +120,7 @@ func TestBatchTelemetryIsAmortisedNotLost(t *testing.T) {
 			t.Errorf("pmlmpi_span_duration_seconds_count{span=%q} = %d, want %d", span, got, want)
 		}
 	}
-	if got := s.duration.Count("allgather", PathCold) + s.duration.Count("alltoall", PathCold); got != items {
+	if got := pathCount(s, "allgather", PathCold) + pathCount(s, "alltoall", PathCold); got != items {
 		t.Errorf("cold select-duration observations = %d, want %d", got, items)
 	}
 	if o.Traces.Len() != 0 {

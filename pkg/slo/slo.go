@@ -52,7 +52,7 @@ type Tracker struct {
 	gAvailBurn    *obs.Gauge
 	gAvailability *obs.Gauge
 	gSlowFraction *obs.Gauge
-	cRecorded     *obs.Counter
+	cOK, cError   obs.BoundCounter
 }
 
 // New builds a tracker over DefaultWindows, registering its instruments
@@ -72,9 +72,10 @@ func New(reg *obs.Registry, obj Objectives) *Tracker {
 			"Measured success fraction per rolling window.", "window"),
 		gSlowFraction: reg.Gauge("pmlmpi_slo_slow_fraction",
 			"Fraction of selects slower than the latency objective, per rolling window.", "window"),
-		cRecorded: reg.Counter("pmlmpi_slo_observations_total",
-			"Select outcomes fed into the SLO windows.", "outcome"),
 	}
+	recorded := reg.Counter("pmlmpi_slo_observations_total",
+		"Select outcomes fed into the SLO windows.", "outcome")
+	t.cOK, t.cError = recorded.Bind("ok"), recorded.Bind("error")
 	reg.Gauge("pmlmpi_slo_objective_select_p99_seconds",
 		"Configured latency objective: 99% of selects must finish within this.").Set(obj.SelectP99.Seconds())
 	reg.Gauge("pmlmpi_slo_objective_availability",
@@ -92,9 +93,9 @@ func (t *Tracker) SetClock(now func() time.Time) { t.ring.SetClock(now) }
 func (t *Tracker) Record(seconds float64, ok bool) {
 	t.ring.Record(seconds, ok)
 	if ok {
-		t.cRecorded.Inc("ok")
+		t.cOK.Inc()
 	} else {
-		t.cRecorded.Inc("error")
+		t.cError.Inc()
 	}
 }
 
@@ -112,7 +113,7 @@ type Window struct {
 	// SlowFraction is the share of selects slower than the latency objective.
 	SlowFraction float64 `json:"slow_fraction"`
 	// LatencyBurnRate is SlowFraction / 0.01 (the budget a p99 objective allows).
-	LatencyBurnRate float64 `json:"latency_burn_rate"`
+	LatencyBurnRate float64     `json:"latency_burn_rate"`
 	Latency         obs.Summary `json:"latency"`
 }
 
@@ -156,7 +157,7 @@ func (t *Tracker) evalWindow(d time.Duration) Window {
 		Count:        snap.Count,
 		Errors:       snap.Errors,
 		Availability: 1,
-		Latency:      obs.SummaryFromBuckets(t.ring.Bounds(), snap.Counts, snap.Sum, snap.Count),
+		Latency:      snap.Summary(),
 	}
 	if snap.Count == 0 {
 		return w
@@ -167,46 +168,10 @@ func (t *Tracker) evalWindow(d time.Duration) Window {
 		w.AvailabilityBurnRate = errFrac / (1 - t.obj.Availability)
 	}
 	if t.obj.SelectP99 > 0 {
-		w.SlowFraction = slowFraction(t.ring.Bounds(), snap.Counts, snap.Count, t.obj.SelectP99.Seconds())
+		w.SlowFraction = snap.FractionAbove(t.obj.SelectP99.Seconds())
 		w.LatencyBurnRate = w.SlowFraction / latencyBudget
 	}
 	return w
-}
-
-// slowFraction estimates the fraction of observations above threshold from
-// non-cumulative bucket counts (+Inf last). The bucket straddling the
-// threshold is split by linear interpolation.
-func slowFraction(bounds []float64, counts []uint64, total uint64, threshold float64) float64 {
-	if total == 0 {
-		return 0
-	}
-	var slow float64
-	lower := 0.0
-	for i, n := range counts {
-		if n == 0 {
-			if i < len(bounds) {
-				lower = bounds[i]
-			}
-			continue
-		}
-		if i >= len(bounds) {
-			// +Inf bucket: no upper bound to interpolate against, so every
-			// observation here counts as slow — the conservative reading.
-			slow += float64(n)
-			continue
-		}
-		upper := bounds[i]
-		switch {
-		case threshold <= lower:
-			slow += float64(n)
-		case threshold >= upper:
-			// entire bucket fast
-		default:
-			slow += float64(n) * (upper - threshold) / (upper - lower)
-		}
-		lower = upper
-	}
-	return slow / float64(total)
 }
 
 // Refresh re-evaluates every window and publishes the results to the

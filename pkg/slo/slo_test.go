@@ -189,23 +189,30 @@ func TestReportJSONShape(t *testing.T) {
 	}
 }
 
+// TestSlowFractionInterpolation: a latency objective that falls inside a
+// bucket counts the bucket's mass as slow in proportion to how much of the
+// bucket lies above it.
 func TestSlowFractionInterpolation(t *testing.T) {
-	bounds := []float64{0.001, 0.01, 0.1}
-	// 10 observations in (0.01, 0.1]; threshold midway through the bucket
-	// should count roughly half as slow.
-	counts := []uint64{0, 0, 10, 0}
-	got := slowFraction(bounds, counts, 10, 0.055)
-	if math.Abs(got-0.5) > 0.01 {
+	slow := func(objective time.Duration, seconds float64, n int) float64 {
+		tr, _, _ := newTracker(Objectives{SelectP99: objective, Availability: 0.999})
+		for i := 0; i < n; i++ {
+			tr.Record(seconds, true)
+		}
+		return window(t, tr.Report(), "1m").SlowFraction
+	}
+	// 10 selects in (10ms, 25ms]; an objective midway through the bucket
+	// counts roughly half as slow.
+	if got := slow(17500*time.Microsecond, 0.02, 10); math.Abs(got-0.5) > 0.01 {
 		t.Errorf("straddled slow fraction = %v, want ~0.5", got)
 	}
-	if got := slowFraction(bounds, counts, 10, 0.2); got != 0 {
-		t.Errorf("threshold above all mass: slow = %v, want 0", got)
+	if got := slow(50*time.Millisecond, 0.02, 10); got != 0 {
+		t.Errorf("objective above all mass: slow = %v, want 0", got)
 	}
-	if got := slowFraction(bounds, counts, 10, 0.001); got != 1 {
-		t.Errorf("threshold below all mass: slow = %v, want 1", got)
+	if got := slow(10*time.Millisecond, 0.02, 10); got != 1 {
+		t.Errorf("objective below all mass: slow = %v, want 1", got)
 	}
-	// +Inf bucket mass is always slow.
-	if got := slowFraction(bounds, []uint64{0, 0, 0, 5}, 5, 0.5); got != 1 {
+	// Mass past the last bucket bound is always slow.
+	if got := slow(1500*time.Millisecond, 2, 5); got != 1 {
 		t.Errorf("+Inf mass slow = %v, want 1", got)
 	}
 }
