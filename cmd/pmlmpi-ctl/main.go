@@ -32,9 +32,9 @@ func main() {
 
 		pollInterval = flag.Duration("poll-interval", 2*time.Second, "advisory replica poll interval surfaced in every manifest")
 
-		canaryPercent    = flag.Float64("canary-percent", 25, "share of replicas (rounded up, at least one) assigned to the canary ring")
-		minAgreement     = flag.Float64("min-agreement", 0.9, "shadow-agreement rate below which a rollout auto-rolls back")
-		minShadowSamples = flag.Uint64("min-shadow-samples", 20, "shadow samples a heartbeat needs before its agreement is trusted")
+		canaryPercent    = flag.Float64("canary-percent", 25, "share in [0,100] of replicas (rounded up, at least one) assigned to the canary ring")
+		minAgreement     = flag.Float64("min-agreement", controlplane.DefaultShadowPolicy().MinAgreement, "shadow-agreement rate in [0,1] below which replicas reject a soaking candidate and the rollout rolls back")
+		minShadowSamples = flag.Uint64("min-shadow-samples", controlplane.DefaultShadowPolicy().MinSamples, "shadow samples evidence needs before its agreement is judged")
 		maxP99Ratio      = flag.Float64("max-p99-ratio", 0, "roll back when a canary's select p99 exceeds this multiple of its pre-rollout baseline (0 disables)")
 		replicaTTL       = flag.Duration("replica-ttl", time.Minute, "heartbeat age after which a replica stops counting toward rollout gates")
 
@@ -44,11 +44,10 @@ func main() {
 
 	o := obs.New(os.Stderr, obs.ParseLevel(*logLevel))
 	if err := run(o, *addr, *storeDir, *bundle, controlplane.RolloutConfig{
-		CanaryPercent:    *canaryPercent,
-		MinAgreement:     *minAgreement,
-		MinShadowSamples: *minShadowSamples,
-		MaxP99Ratio:      *maxP99Ratio,
-		ReplicaTTL:       *replicaTTL,
+		CanaryPercent: *canaryPercent,
+		Shadow:        controlplane.ShadowPolicy{MinAgreement: *minAgreement, MinSamples: *minShadowSamples},
+		MaxP99Ratio:   *maxP99Ratio,
+		ReplicaTTL:    *replicaTTL,
 	}, *pollInterval, *shutdownTimeout); err != nil {
 		o.Logger.Error("fatal", "error", err.Error())
 		os.Exit(1)
@@ -56,6 +55,9 @@ func main() {
 }
 
 func run(o *obs.Obs, addr, storeDir, bundlePath string, roCfg controlplane.RolloutConfig, poll, shutdownTimeout time.Duration) error {
+	if err := roCfg.Validate(); err != nil {
+		return err // a bad flag exits before listening
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 

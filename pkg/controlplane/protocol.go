@@ -12,6 +12,8 @@
 // The control plane never dials a replica.
 package controlplane
 
+import "fmt"
+
 // Ring names. Every registered replica belongs to exactly one ring,
 // assigned deterministically by the control plane: replica ids sort
 // lexicographically and the first ceil(N * CanaryPercent / 100) (at least
@@ -49,8 +51,8 @@ const (
 	// CandidatePromoted: the candidate passed the local soak gate and is
 	// now the active generation.
 	CandidatePromoted = "promoted"
-	// CandidateRejected: shadow agreement fell below the replica's local
-	// threshold; the candidate was never promoted.
+	// CandidateRejected: the manifest's ShadowPolicy rejected the
+	// replica's shadow evidence; the candidate was never promoted.
 	CandidateRejected = "rejected"
 )
 
@@ -75,6 +77,39 @@ type Manifest struct {
 	RolloutState string `json:"rollout_state"`
 	// PollSeconds is the control plane's advisory poll interval.
 	PollSeconds float64 `json:"poll_seconds,omitempty"`
+	// ShadowPolicy is the rule a replica judges its soaking candidate's
+	// shadow evidence with: the same rule the rollout applies to heartbeats.
+	ShadowPolicy ShadowPolicy `json:"shadow_policy"`
+}
+
+// ShadowPolicy is the one promotion rule for live shadow evidence. The
+// control plane owns it (RolloutConfig.Shadow) and ships it in every
+// manifest, so a replica's soak and the rollout's heartbeat gate judge a
+// candidate identically.
+type ShadowPolicy struct {
+	// MinAgreement is the lowest candidate/incumbent agreement rate a
+	// candidate may hold once MinSamples comparisons exist.
+	MinAgreement float64 `json:"min_agreement"`
+	// MinSamples is how many shadow comparisons evidence needs before its
+	// agreement rate is judged at all.
+	MinSamples uint64 `json:"min_samples"`
+}
+
+// DefaultShadowPolicy is the policy a RolloutConfig that sets none gets.
+func DefaultShadowPolicy() ShadowPolicy {
+	return ShadowPolicy{MinAgreement: 0.9, MinSamples: 20}
+}
+
+// Reject reports whether agreement over samples shadow comparisons vetoes
+// the candidate, and why. Evidence thinner than MinSamples never rejects:
+// a soak that reaches its deadline on thin evidence promotes, and the
+// rollout keeps judging the heartbeats that follow.
+func (p ShadowPolicy) Reject(samples uint64, agreement float64) (bool, string) {
+	if samples >= p.MinSamples && agreement < p.MinAgreement {
+		return true, fmt.Sprintf("shadow agreement %.3f below %.3f over %d samples",
+			agreement, p.MinAgreement, samples)
+	}
+	return false, ""
 }
 
 // Heartbeat is the POST /v1/heartbeat request body: one replica's serving

@@ -1,6 +1,7 @@
 package controlplane
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -8,18 +9,17 @@ import (
 	"time"
 )
 
-// RolloutConfig tunes the staged-rollout controller.
+// RolloutConfig tunes the staged-rollout controller. A zero field takes
+// its default; Validate names every field the controller cannot honour.
 type RolloutConfig struct {
 	// CanaryPercent is the share of replicas (by count, rounded up, at
 	// least one) assigned to the canary ring. Default 25.
 	CanaryPercent float64
-	// MinAgreement is the minimum shadow-agreement rate a candidate must
-	// hold once MinShadowSamples of evidence exist; below it the rollout
-	// auto-rolls back. Default 0.9.
-	MinAgreement float64
-	// MinShadowSamples is how many shadow comparisons a heartbeat must
-	// carry before its agreement rate is trusted as evidence. Default 20.
-	MinShadowSamples uint64
+	// Shadow is the promotion policy for shadow evidence: the rollout
+	// rolls back on any heartbeat it rejects, and every manifest carries
+	// it so replicas reject soaking candidates by the same rule. Zero
+	// fields take DefaultShadowPolicy's.
+	Shadow ShadowPolicy
 	// MaxP99Ratio rolls back when a replica serving the candidate reports
 	// a select p99 more than this multiple of its pre-rollout baseline.
 	// 0 disables the latency gate.
@@ -33,17 +33,35 @@ type RolloutConfig struct {
 	Now func() time.Time
 }
 
+// Validate reports every value the controller would otherwise rewrite or
+// read as "gate off", one joined error naming each bad field and its
+// pmlmpi-ctl flag.
+func (c RolloutConfig) Validate() error {
+	var errs []error
+	check := func(ok bool, field, name string, v any, want string) {
+		if !ok {
+			errs = append(errs, fmt.Errorf("%s (-%s) = %v: want %s", field, name, v, want))
+		}
+	}
+	check(c.CanaryPercent >= 0 && c.CanaryPercent <= 100, "CanaryPercent", "canary-percent", c.CanaryPercent, "a percentage in [0,100]")
+	check(c.Shadow.MinAgreement >= 0 && c.Shadow.MinAgreement <= 1, "Shadow.MinAgreement", "min-agreement", c.Shadow.MinAgreement, "a rate in [0,1]")
+	check(c.MaxP99Ratio >= 0, "MaxP99Ratio", "max-p99-ratio", c.MaxP99Ratio, "a ratio >= 0 (0 disables the latency gate)")
+	check(c.ReplicaTTL >= 0, "ReplicaTTL", "replica-ttl", c.ReplicaTTL, "a duration >= 0")
+	return errors.Join(errs...)
+}
+
 func (c *RolloutConfig) fill() {
-	if c.CanaryPercent <= 0 || c.CanaryPercent > 100 {
+	if c.CanaryPercent == 0 {
 		c.CanaryPercent = 25
 	}
-	if c.MinAgreement <= 0 || c.MinAgreement > 1 {
-		c.MinAgreement = 0.9
+	def := DefaultShadowPolicy()
+	if c.Shadow.MinAgreement == 0 {
+		c.Shadow.MinAgreement = def.MinAgreement
 	}
-	if c.MinShadowSamples == 0 {
-		c.MinShadowSamples = 20
+	if c.Shadow.MinSamples == 0 {
+		c.Shadow.MinSamples = def.MinSamples
 	}
-	if c.ReplicaTTL <= 0 {
+	if c.ReplicaTTL == 0 {
 		c.ReplicaTTL = 60 * time.Second
 	}
 	if c.Now == nil {
@@ -267,12 +285,11 @@ func (r *Rollout) evaluateLocked(now time.Time) {
 				id, hb.CandidateAgreement, hb.CandidateSamples))
 			return
 		}
-		if hb.CandidateHash == r.candidate &&
-			hb.CandidateSamples >= r.cfg.MinShadowSamples &&
-			hb.CandidateAgreement < r.cfg.MinAgreement {
-			r.rollbackLocked(fmt.Sprintf("replica %s shadow agreement %.3f below %.3f (%d samples)",
-				id, hb.CandidateAgreement, r.cfg.MinAgreement, hb.CandidateSamples))
-			return
+		if hb.CandidateHash == r.candidate {
+			if reject, why := r.cfg.Shadow.Reject(hb.CandidateSamples, hb.CandidateAgreement); reject {
+				r.rollbackLocked("replica " + id + " " + why)
+				return
+			}
 		}
 		if hb.ActiveHash == r.candidate && hb.DriftStatus == "alert" {
 			r.rollbackLocked(fmt.Sprintf("replica %s drift alert while serving candidate", id))
@@ -339,6 +356,7 @@ func (r *Rollout) Manifest(ring string) Manifest {
 		DesiredGeneration: r.store.Seq(desired),
 		StableHash:        r.stable,
 		RolloutState:      r.state,
+		ShadowPolicy:      r.cfg.Shadow,
 	}
 }
 
@@ -397,8 +415,8 @@ func (r *Rollout) Snapshot() Snapshot {
 		BundleCount:    r.store.Len(),
 	}
 	snap.Config.CanaryPercent = r.cfg.CanaryPercent
-	snap.Config.MinAgreement = r.cfg.MinAgreement
-	snap.Config.MinShadowSamples = r.cfg.MinShadowSamples
+	snap.Config.MinAgreement = r.cfg.Shadow.MinAgreement
+	snap.Config.MinShadowSamples = r.cfg.Shadow.MinSamples
 	snap.Config.MaxP99Ratio = r.cfg.MaxP99Ratio
 	cutoff := now.Add(-r.cfg.ReplicaTTL)
 	ids := make([]string, 0, len(r.replicas))

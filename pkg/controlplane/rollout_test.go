@@ -26,11 +26,10 @@ func newTestRollout(t *testing.T, clock *fakeClock) (*Rollout, *Store, string, s
 		t.Fatalf("Put candidate: %v", err)
 	}
 	ro := NewRollout(store, RolloutConfig{
-		CanaryPercent:    25,
-		MinAgreement:     0.9,
-		MinShadowSamples: 10,
-		ReplicaTTL:       30 * time.Second,
-		Now:              clock.now,
+		CanaryPercent: 25,
+		Shadow:        ShadowPolicy{MinAgreement: 0.9, MinSamples: 10},
+		ReplicaTTL:    30 * time.Second,
+		Now:           clock.now,
 	})
 	if err := ro.SetStable(stable); err != nil {
 		t.Fatalf("SetStable: %v", err)
@@ -220,12 +219,12 @@ func TestRolloutRollsBackOnLowAgreementEvidence(t *testing.T) {
 	register(ro, stable, "r-a", "r-b")
 	ro.Start(cand)
 
-	// Thin evidence below threshold is ignored (< MinShadowSamples).
+	// Thin evidence below threshold is ignored (< MinSamples).
 	ro.Observe(Heartbeat{ReplicaID: "r-a", ActiveHash: stable,
 		CandidateHash: cand, CandidateStatus: CandidateSoaking,
 		CandidateSamples: 5, CandidateAgreement: 0.2})
 	if s := ro.Snapshot(); s.State != StateCanary {
-		t.Fatalf("rolled back on %d samples, below MinShadowSamples", 5)
+		t.Fatalf("rolled back on %d samples, below MinSamples", 5)
 	}
 	// Enough samples with low agreement trips the gate.
 	ro.Observe(Heartbeat{ReplicaID: "r-a", ActiveHash: stable,

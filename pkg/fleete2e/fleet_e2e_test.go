@@ -111,7 +111,6 @@ func newFleetReplica(t *testing.T, ctlURL, id string, soak time.Duration) *fleet
 	cfg.ManifestPoll = time.Hour
 	cfg.StageSoak = soak
 	cfg.ShadowFraction = 1
-	cfg.MinShadowSamples = 8
 	return &fleetReplica{id: id, Stack: newStack(t, cfg)}
 }
 
@@ -152,14 +151,14 @@ func (r *fleetReplica) feedSelects(ctx context.Context, t *testing.T, n int) {
 
 const rolloutDeadline = 30 * time.Second
 
-// fleetRolloutConfig gates rollouts on the same thresholds the agents
-// soak with, so both layers judge candidates consistently.
+// fleetRolloutConfig is the only place the fleet e2e sets promotion
+// thresholds: the manifest carries its shadow policy to every replica's
+// soak.
 func fleetRolloutConfig() controlplane.RolloutConfig {
 	return controlplane.RolloutConfig{
-		CanaryPercent:    25, // 3 replicas -> 1-replica canary ring
-		MinAgreement:     0.9,
-		MinShadowSamples: 8,
-		ReplicaTTL:       time.Minute,
+		CanaryPercent: 25, // 3 replicas -> 1-replica canary ring
+		Shadow:        controlplane.ShadowPolicy{MinAgreement: 0.9, MinSamples: 8},
+		ReplicaTTL:    time.Minute,
 	}
 }
 
@@ -342,6 +341,15 @@ func TestFleetAutoRollbackNeverServesBadCandidate(t *testing.T) {
 			}
 			if !sawSoak {
 				t.Fatal("canary never soaked the candidate; rollback came from the wrong path")
+			}
+			// The canary's own soak rejected it, on the manifest's 8-sample
+			// floor rather than the default 20.
+			if st := reps[0].Agent.Status(); st.CandidateStatus != controlplane.CandidateRejected {
+				t.Fatalf("canary candidate status %q at rollback, want rejected by its soak", st.CandidateStatus)
+			}
+			if n := snap.Replicas[0].Heartbeat.CandidateSamples; n < 8 || n >= controlplane.DefaultShadowPolicy().MinSamples {
+				t.Fatalf("canary rejected on %d samples, want the manifest's floor of 8 (under the default %d)",
+					n, controlplane.DefaultShadowPolicy().MinSamples)
 			}
 			break
 		}

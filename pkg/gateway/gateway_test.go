@@ -13,6 +13,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/pml-mpi/pmlmpi/pkg/obs"
 	"github.com/pml-mpi/pmlmpi/pkg/selector"
@@ -447,12 +448,28 @@ func TestClientHangUpDoesNotMarkReplicasDown(t *testing.T) {
 // gateway's own transport keeps one per caller, so the number of
 // connections a replica ever sees follows the caller count, not the request
 // count.
+//
+// The replica holds the first requests until every caller has one in
+// flight. Otherwise the callers race an empty pool at startup: a caller
+// waiting on its dial is handed a connection another caller just released,
+// its dial still completes into the pool, and it can dial again on its next
+// request while the pool is drained. Those wasted dials, not reuse, pushed
+// the count past the limit on a loaded machine. With the barrier each
+// caller dials exactly once.
 func TestProxyReusesConnectionsUnderConcurrency(t *testing.T) {
 	const callers, perCaller = 32, 40
-	var opened atomic.Int64
+	var opened, arrived atomic.Int64
+	allIn := make(chan struct{})
 	f := &fakeReplica{id: "a"}
 	f.ts = httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		io.Copy(io.Discard, r.Body)
+		if arrived.Add(1) == callers {
+			close(allIn)
+		}
+		select {
+		case <-allIn:
+		case <-time.After(10 * time.Second): // a caller failed; let the rest finish
+		}
 		fmt.Fprint(w, `{"algorithm":"echo"}`)
 	}))
 	f.ts.Config.ConnState = func(_ net.Conn, state http.ConnState) {
@@ -481,9 +498,9 @@ func TestProxyReusesConnectionsUnderConcurrency(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	// A connection returns to the idle pool a moment after its caller has the
-	// whole reply, so a caller's next request can find the pool empty and dial
-	// once more: allow each caller that, and no more. (Without reuse this
+	// The transport also drops a connection whose request write has not
+	// reported back within 50ms of the reply (maxWriteWaitBeforeConnReuse):
+	// allow each caller one such redial, and no more. (Without reuse this
 	// reads in the hundreds: nearly one connection per request.)
 	if n := opened.Load(); n > 2*callers {
 		t.Errorf("replica saw %d connections for %d requests from %d callers, want at most %d",

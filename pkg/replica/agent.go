@@ -42,17 +42,12 @@ type AgentConfig struct {
 	PollInterval time.Duration
 	// StageSoak is how long a pulled candidate shadow-evaluates before the
 	// promote decision. Default 10s; 0 keeps the default, negative values
-	// promote immediately.
+	// promote immediately. The evidence is judged by the last manifest's
+	// ShadowPolicy: a rejected candidate is sticky (never retried for the
+	// same hash), and one with thinner evidence at the deadline promotes on
+	// benefit of the doubt — the control plane still gates the fleet stage
+	// on the canary's live heartbeats.
 	StageSoak time.Duration
-	// MinAgreement is the local promote gate: with at least
-	// MinShadowSamples of evidence, a candidate below this agreement rate
-	// is rejected (sticky — never retried for the same hash). Default 0.9.
-	MinAgreement float64
-	// MinShadowSamples is the evidence floor for the agreement gate.
-	// Default 20. A candidate with thinner evidence at the soak deadline
-	// promotes on benefit of the doubt — the control plane still gates the
-	// fleet stage on the canary's live heartbeats.
-	MinShadowSamples uint64
 	// Client overrides the HTTP client (tests). Default: 10s timeout.
 	Client *http.Client
 	// Now overrides the clock (tests).
@@ -134,12 +129,6 @@ func NewAgent(o *obs.Obs, cfg AgentConfig) (*Agent, error) {
 	}
 	if cfg.StageSoak == 0 {
 		cfg.StageSoak = 10 * time.Second
-	}
-	if cfg.MinAgreement <= 0 || cfg.MinAgreement > 1 {
-		cfg.MinAgreement = 0.9
-	}
-	if cfg.MinShadowSamples == 0 {
-		cfg.MinShadowSamples = 20
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
@@ -392,8 +381,8 @@ func (a *Agent) reconcile(ctx context.Context, m controlplane.Manifest) error {
 }
 
 // evaluateSoak refreshes a soaking candidate's shadow evidence and
-// settles the promote/reject verdict once the gate trips or the deadline
-// passes.
+// settles the promote/reject verdict once the manifest's ShadowPolicy
+// rejects it or the deadline passes.
 func (a *Agent) evaluateSoak() {
 	a.mu.Lock()
 	cand := a.cand
@@ -426,10 +415,9 @@ func (a *Agent) evaluateSoak() {
 	if a.cand != cand || cand.status != controlplane.CandidateSoaking {
 		return // aborted or replaced while we polled the shadow report
 	}
-	if cand.samples >= a.cfg.MinShadowSamples && cand.agreement < a.cfg.MinAgreement {
+	if reject, why := a.manifest.ShadowPolicy.Reject(cand.samples, cand.agreement); reject {
 		cand.status = controlplane.CandidateRejected
-		a.rejected[cand.hash] = fmt.Sprintf("shadow agreement %.3f below %.3f over %d samples",
-			cand.agreement, a.cfg.MinAgreement, cand.samples)
+		a.rejected[cand.hash] = why
 		if a.cfg.Shadow != nil {
 			a.cfg.Shadow.ClearCandidate()
 		}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/pml-mpi/pmlmpi/pkg/bundle"
 	"github.com/pml-mpi/pmlmpi/pkg/controlplane"
 	"github.com/pml-mpi/pmlmpi/pkg/obs"
 	"github.com/pml-mpi/pmlmpi/pkg/registry"
@@ -17,10 +18,10 @@ import (
 // newCtl spins up a real control plane over httptest with one stable
 // bundle seeded, returning the server URL, the rollout controller, and
 // the stable hash.
-func newCtl(t *testing.T) (string, *controlplane.Store, *controlplane.Rollout, string) {
+func newCtl(t *testing.T, cfg controlplane.RolloutConfig) (string, *controlplane.Store, *controlplane.Rollout, string) {
 	t.Helper()
 	store, _ := controlplane.NewStore("")
-	ro := controlplane.NewRollout(store, controlplane.RolloutConfig{})
+	ro := controlplane.NewRollout(store, cfg)
 	srv := controlplane.NewServer(store, ro, obs.NewForTest(), controlplane.ServerConfig{})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
@@ -50,7 +51,7 @@ func newAgent(t *testing.T, url string, reg *registry.Registry, o *obs.Obs) *Age
 }
 
 func TestAgentBootstrapsFromControlPlane(t *testing.T) {
-	url, _, ro, stable := newCtl(t)
+	url, _, ro, stable := newCtl(t, controlplane.RolloutConfig{})
 	o := obs.NewForTest()
 	reg := registry.New(o, registry.Config{})
 	a := newAgent(t, url, reg, o)
@@ -85,7 +86,7 @@ func TestAgentBootstrapsFromControlPlane(t *testing.T) {
 }
 
 func TestAgentFollowsRolloutAndPromotesResidentOnRevert(t *testing.T) {
-	url, store, ro, stable := newCtl(t)
+	url, store, ro, stable := newCtl(t, controlplane.RolloutConfig{})
 	o := obs.NewForTest()
 	reg := registry.New(o, registry.Config{})
 	a := newAgent(t, url, reg, o)
@@ -167,24 +168,27 @@ func TestAgentRejectsHashMismatch(t *testing.T) {
 	}
 }
 
+// deadlineOnly is a control plane whose shadow policy needs more evidence
+// than any test produces, so the agreement gate can never trip — only the
+// soak deadline (and the withdrawal checks) decide.
+var deadlineOnly = controlplane.RolloutConfig{Shadow: controlplane.ShadowPolicy{MinSamples: 1 << 20}}
+
 // newSoakingAgent builds an agent with shadow evaluation and a manual
 // clock, so soak deadlines are driven by the test instead of wall time.
-// MinShadowSamples is set high enough that the agreement gate can never
-// trip — only the deadline (and the withdrawal checks) decide.
+// The agent sets no threshold: the manifest's shadow policy judges.
 func newSoakingAgent(t *testing.T, url string, clock *time.Time) (*Agent, *registry.Registry) {
 	t.Helper()
 	o := obs.NewForTest()
 	sh := registry.NewShadow(o, registry.ShadowConfig{Fraction: 1})
 	reg := registry.New(o, registry.Config{Shadow: sh})
 	a, err := NewAgent(o, AgentConfig{
-		ControlPlane:     url,
-		ReplicaID:        "r-test",
-		Registry:         reg,
-		Shadow:           sh,
-		PollInterval:     10 * time.Millisecond,
-		StageSoak:        10 * time.Second,
-		MinShadowSamples: 1 << 20,
-		Now:              func() time.Time { return *clock },
+		ControlPlane: url,
+		ReplicaID:    "r-test",
+		Registry:     reg,
+		Shadow:       sh,
+		PollInterval: 10 * time.Millisecond,
+		StageSoak:    10 * time.Second,
+		Now:          func() time.Time { return *clock },
 	})
 	if err != nil {
 		t.Fatalf("NewAgent: %v", err)
@@ -198,7 +202,7 @@ func newSoakingAgent(t *testing.T, url string, clock *time.Time) (*Agent, *regis
 // must never promote the withdrawn hash — without marking it rejected,
 // so a later re-rollout of the same hash soaks afresh.
 func TestAgentAbortsWithdrawnCandidateMidSoak(t *testing.T) {
-	url, store, ro, stable := newCtl(t)
+	url, store, ro, stable := newCtl(t, deadlineOnly)
 	clock := time.Unix(1_700_000_000, 0)
 	a, reg := newSoakingAgent(t, url, &clock)
 	ctx := context.Background()
@@ -262,6 +266,75 @@ func TestAgentAbortsWithdrawnCandidateMidSoak(t *testing.T) {
 	}
 }
 
+// TestAgentSoaksWithManifestShadowPolicy: the agent sets no threshold of
+// its own, so the control plane's policy, carried by the manifest, judges
+// the soak. Agreement 0.85 over 20 samples is below the 0.9 default but
+// passes the ctl's 0.8 floor, and the candidate promotes at the deadline.
+func TestAgentSoaksWithManifestShadowPolicy(t *testing.T) {
+	url, store, ro, stable := newCtl(t, controlplane.RolloutConfig{
+		Shadow: controlplane.ShadowPolicy{MinAgreement: 0.8},
+	})
+	clock := time.Unix(1_700_000_000, 0)
+	a, reg := newSoakingAgent(t, url, &clock)
+	ctx := context.Background()
+	a.Tick(ctx)
+	a.Tick(ctx)
+	if g := reg.ActiveGeneration(); g == nil || g.Hash() != stable {
+		t.Fatal("agent did not bootstrap to stable")
+	}
+
+	cand, _, err := store.Put(bundleJSON(t, 2))
+	if err != nil {
+		t.Fatalf("Put candidate: %v", err)
+	}
+	if err := ro.Start(cand); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	a.Tick(ctx)
+	a.Tick(ctx)
+	if st := a.Status(); st.CandidateHash != cand || st.CandidateStatus != controlplane.CandidateSoaking {
+		t.Fatalf("candidate not soaking after rollout start: %+v", st)
+	}
+
+	// Mirror 20 live decisions: every candidate answer is named "cand",
+	// and 17 of the live answers match it.
+	sh := a.cfg.Shadow
+	sh.SetNamer(func(string, int) string { return "cand" })
+	sh.Start()
+	t.Cleanup(sh.Stop)
+	feats := make(map[string]float64, len(bundle.CanonicalFeatures))
+	for _, name := range bundle.CanonicalFeatures {
+		feats[name] = 1
+	}
+	for i := 0; i < 20; i++ {
+		live := "cand"
+		if i%7 == 0 { // i = 0, 7, 14
+			live = "other"
+		}
+		sh.Offer("allgather", feats, live, 0, 1000)
+	}
+	waitFor(t, 5*time.Second, "20 shadow samples", func() bool {
+		return sh.Report().Collectives["allgather"].Samples == 20
+	})
+
+	a.Tick(ctx)
+	if st := a.Status(); st.CandidateStatus != controlplane.CandidateSoaking {
+		t.Fatalf("agreement 0.85 against the manifest's 0.8 floor: status %q, want soaking", st.CandidateStatus)
+	}
+	clock = clock.Add(11 * time.Second)
+	a.Tick(ctx)
+	if g := reg.ActiveGeneration(); g == nil || g.Hash() != cand {
+		t.Fatalf("candidate did not promote at the soak deadline (status %+v)", a.Status())
+	}
+	snap := ro.Snapshot()
+	if snap.State == controlplane.StateRolledBack {
+		t.Fatalf("control plane rolled back: %s", snap.RollbackReason)
+	}
+	if hb := snap.Replicas[0].Heartbeat; hb.CandidateSamples != 20 || hb.CandidateAgreement != 0.85 {
+		t.Fatalf("heartbeat evidence %d samples at %v, want 20 at 0.85", hb.CandidateSamples, hb.CandidateAgreement)
+	}
+}
+
 // TestAgentRevertsAfterStaleManifestPromote covers the uglier variant:
 // the rollback lands while the control plane is unreachable, so the
 // replica's last-known manifest still desires the candidate when the
@@ -270,7 +343,7 @@ func TestAgentAbortsWithdrawnCandidateMidSoak(t *testing.T) {
 // bundle forever.
 func TestAgentRevertsAfterStaleManifestPromote(t *testing.T) {
 	store, _ := controlplane.NewStore("")
-	ro := controlplane.NewRollout(store, controlplane.RolloutConfig{})
+	ro := controlplane.NewRollout(store, deadlineOnly)
 	ctl := controlplane.NewServer(store, ro, obs.NewForTest(), controlplane.ServerConfig{})
 	var down atomic.Bool
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

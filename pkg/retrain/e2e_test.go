@@ -26,8 +26,8 @@ func shiftedGrid() (nodes, ppn, lms []float64) {
 // self-tuning loop: a server stack (registry + shadow + health + selector)
 // serving a model trained on a narrow region receives shifted traffic and
 // matching oracle-labeled feedback; the drift monitors go ALERT, the
-// controller fires, trains on the blended feedback, collects live shadow
-// evidence, auto-promotes the winner, and subsequent selections track the
+// controller fires, trains on the blended feedback, judges the candidate
+// offline, auto-promotes the winner, and subsequent selections track the
 // oracle on the shifted region.
 func TestClosedLoopDriftRetrainPromote(t *testing.T) {
 	if testing.Short() {
@@ -87,17 +87,15 @@ func TestClosedLoopDriftRetrainPromote(t *testing.T) {
 	}
 
 	ctrl, err := New(o, Config{
-		DriftWindows:     2,
-		DriftPoll:        5 * time.Millisecond,
-		MinRecords:       16,
-		Sweep:            testSweep(),
-		Trainer:          train.Config{Trees: 8, MaxDepth: 8},
-		Seed:             7,
-		HoldoutFloor:     0.5,
-		MarginSlack:      0.5,
-		MinShadowSamples: 8,
-		ShadowTimeout:    30 * time.Second,
-		OutDir:           t.TempDir(),
+		DriftWindows: 2,
+		DriftPoll:    5 * time.Millisecond,
+		MinRecords:   16,
+		Sweep:        testSweep(),
+		Trainer:      train.Config{Trees: 8, MaxDepth: 8},
+		Seed:         7,
+		HoldoutFloor: 0.5,
+		MarginSlack:  0.5,
+		OutDir:       t.TempDir(),
 	}, Deps{Store: store, Registry: reg, Shadow: shadow, Health: health})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -106,9 +104,7 @@ func TestClosedLoopDriftRetrainPromote(t *testing.T) {
 	defer ctrl.Stop()
 
 	// Live traffic from the shifted region: keeps the drift sketches
-	// filling (Window=32 → ALERT within a few hundred selects) and, once a
-	// candidate is staged, feeds the shadow evaluator the samples the
-	// judging clause waits for.
+	// filling (Window=32 → ALERT within a few hundred selects).
 	var stopTraffic atomic.Bool
 	trafficDone := make(chan struct{})
 	go func() {
@@ -150,9 +146,6 @@ func TestClosedLoopDriftRetrainPromote(t *testing.T) {
 	}
 	if v.Outcome != OutcomePromoted {
 		t.Fatalf("cycle outcome = %s detail %q, want promoted", v.Outcome, v.Detail)
-	}
-	if v.ShadowSamples < 8 {
-		t.Fatalf("judging saw %d shadow samples, want >= 8", v.ShadowSamples)
 	}
 	_, activeGen := reg.Active()
 	if activeGen == incGen || activeGen != v.CandidateGeneration {

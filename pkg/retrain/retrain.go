@@ -2,10 +2,11 @@
 // and the model-health observatory, and when enough evidence accumulates —
 // a timer tick with fresh records, or a sustained drift ALERT — it trains a
 // candidate bundle on a blend of operator feedback and the analytical
-// sweep, stages it in the registry, and judges it against the incumbent on
-// a shared held-out split, offline margin quality, and (optionally) live
-// shadow-traffic agreement. Only a candidate that wins every clause is
-// promoted; a loser is retired without ever serving a request. Every cycle
+// sweep, stages it in the registry, and judges it offline against the
+// incumbent on a shared held-out split and on margin quality. Only a
+// candidate that wins both clauses is promoted; a loser is retired without
+// ever serving a request. Live shadow evidence is judged in one place, the
+// fleet soak (controlplane.ShadowPolicy), not here. Every cycle
 // leaves a verdict on /debug/retrain and in the pmlmpi_retrain_* metrics,
 // so the self-tuning loop is as auditable as a human-driven promote.
 package retrain
@@ -61,7 +62,6 @@ const (
 	DefaultHoldoutFloor = 0.75
 	DefaultHoldoutSlack = 0.02
 	DefaultMarginSlack  = 0.05
-	DefaultShadowWait   = 30 * time.Second
 	DefaultHistory      = 32
 )
 
@@ -111,15 +111,6 @@ type Config struct {
 	// MarginWarn is the low-margin threshold for offline margin scoring;
 	// 0 takes the observatory's threshold, or 0.15 without one.
 	MarginWarn float64
-	// MinShadowSamples gates judging on live shadow evidence: the cycle
-	// waits (up to ShadowTimeout) for this many mirrored decisions
-	// before reading the agreement rate. 0 skips the shadow clause.
-	MinShadowSamples uint64
-	// ShadowTimeout bounds the shadow-evidence wait (default 30s).
-	ShadowTimeout time.Duration
-	// MinShadowAgreement is the lowest acceptable candidate/incumbent
-	// agreement rate when the shadow clause runs (default 0).
-	MinShadowAgreement float64
 	// OutDir receives candidate bundle files (default the feedback
 	// store's directory).
 	OutDir string
@@ -153,9 +144,6 @@ func (c Config) withDefaults(store *feedback.Store) Config {
 	if c.MarginSlack <= 0 {
 		c.MarginSlack = DefaultMarginSlack
 	}
-	if c.ShadowTimeout <= 0 {
-		c.ShadowTimeout = DefaultShadowWait
-	}
 	if c.OutDir == "" && store != nil {
 		c.OutDir = store.Dir()
 	}
@@ -170,7 +158,8 @@ func ValidPolicy(p string) bool { return p == PolicyAuto || p == PolicyManual }
 
 // Deps are the live subsystems the controller drives. Store and Registry
 // are required; Shadow and Health are optional (without Health the drift
-// trigger is inert, without Shadow the shadow clause is skipped).
+// trigger is inert; Shadow, when set, stops mirroring traffic to a retired
+// candidate).
 type Deps struct {
 	Store    *feedback.Store
 	Registry *registry.Registry
@@ -200,8 +189,6 @@ type Verdict struct {
 	IncumbentAccuracy  float64 `json:"incumbent_accuracy"`
 	CandidateLowMargin float64 `json:"candidate_low_margin_rate"`
 	IncumbentLowMargin float64 `json:"incumbent_low_margin_rate"`
-	ShadowSamples      uint64  `json:"shadow_samples,omitempty"`
-	ShadowAgreement    float64 `json:"shadow_agreement,omitempty"`
 }
 
 // Report is the /debug/retrain payload.
@@ -537,7 +524,7 @@ func (c *Controller) blend(fb *dataset.Dataset) (*dataset.Dataset, int, error) {
 	return blended, sweep.Len(), nil
 }
 
-// judge runs the promotion clauses against the incumbent. It returns
+// judge runs the offline promotion clauses against the incumbent. It returns
 // win=false with a human-readable reason on the first failing clause.
 func (c *Controller) judge(v *Verdict, g *registry.Generation, holdout *dataset.Dataset) (bool, string) {
 	marginWarn := c.cfg.MarginWarn
@@ -555,7 +542,7 @@ func (c *Controller) judge(v *Verdict, g *registry.Generation, holdout *dataset.
 	v.CandidateAccuracy = candAcc
 	v.CandidateLowMargin = candLow
 
-	incumbent, incumbentGen := c.deps.Registry.Active()
+	incumbent, _ := c.deps.Registry.Active()
 	if incumbent != nil {
 		incAcc, incLow, err := scoreBundle(incumbent, holdout, marginWarn)
 		if err != nil {
@@ -584,59 +571,7 @@ func (c *Controller) judge(v *Verdict, g *registry.Generation, holdout *dataset.
 		return false, fmt.Sprintf("low-margin rate %.4f exceeds incumbent %.4f plus slack %.4f",
 			candLow, v.IncumbentLowMargin, c.cfg.MarginSlack)
 	}
-	// Clause 3: live shadow agreement, when configured.
-	if c.cfg.MinShadowSamples > 0 && c.deps.Shadow != nil {
-		samples, agreement, ok := c.awaitShadow(g)
-		v.ShadowSamples = samples
-		v.ShadowAgreement = agreement
-		if !ok {
-			return false, fmt.Sprintf("shadow evidence: %d/%d samples within %s",
-				samples, c.cfg.MinShadowSamples, c.cfg.ShadowTimeout)
-		}
-		if agreement < c.cfg.MinShadowAgreement {
-			return false, fmt.Sprintf("shadow agreement %.4f below minimum %.4f",
-				agreement, c.cfg.MinShadowAgreement)
-		}
-		if c.deps.Health != nil {
-			if card, ok := c.deps.Health.ActiveScorecard(); ok && card.Generation == incumbentGen &&
-				card.ShadowSamples > 0 && agreement < card.ShadowAgreeRate {
-				return false, fmt.Sprintf("shadow agreement %.4f below incumbent's own candidate record %.4f",
-					agreement, card.ShadowAgreeRate)
-			}
-		}
-	}
 	return true, ""
-}
-
-// awaitShadow polls the shadow evaluator until the candidate has collected
-// MinShadowSamples mirrored decisions or the timeout lapses.
-func (c *Controller) awaitShadow(g *registry.Generation) (samples uint64, agreement float64, ok bool) {
-	deadline := time.Now().Add(c.cfg.ShadowTimeout)
-	for {
-		rep := c.deps.Shadow.Report()
-		samples, agreement = 0, 0
-		var agreed uint64
-		if rep.CandidateGeneration == g.ID() {
-			for _, cell := range rep.Collectives {
-				samples += cell.Samples
-				agreed += cell.Agreements
-			}
-		}
-		if samples > 0 {
-			agreement = float64(agreed) / float64(samples)
-		}
-		if samples >= c.cfg.MinShadowSamples {
-			return samples, agreement, true
-		}
-		if time.Now().After(deadline) {
-			return samples, agreement, false
-		}
-		select {
-		case <-c.done:
-			return samples, agreement, false
-		case <-time.After(50 * time.Millisecond):
-		}
-	}
 }
 
 // scoreBundle evaluates b on ds in one pass: overall accuracy (collectives

@@ -71,8 +71,6 @@ type Config struct {
 
 	ControlPlane, ReplicaID, Advertise string
 	ManifestPoll, StageSoak            time.Duration
-	MinAgreement                       float64
-	MinShadowSamples                   uint64
 
 	TraceSampleRate float64
 	Pprof           bool
@@ -113,9 +111,7 @@ func (c *Config) Flags(fs *flag.FlagSet) {
 	fs.StringVar(&c.ReplicaID, "replica-id", "", "unique replica id reported to the control plane (default: hostname)")
 	fs.StringVar(&c.Advertise, "advertise", "", "this replica's own base URL, reported in heartbeats for discovery")
 	fs.DurationVar(&c.ManifestPoll, "manifest-poll", 2*time.Second, "control-plane manifest poll (and heartbeat) interval")
-	fs.DurationVar(&c.StageSoak, "stage-soak", 10*time.Second, "shadow-evaluation soak before a pulled candidate is promoted (negative = promote immediately)")
-	fs.Float64Var(&c.MinAgreement, "min-agreement", 0.9, "shadow-agreement rate in (0,1] below which a soaking candidate is rejected")
-	fs.Uint64Var(&c.MinShadowSamples, "min-shadow-samples", 20, "shadow samples required before the agreement gate judges a candidate")
+	fs.DurationVar(&c.StageSoak, "stage-soak", 10*time.Second, "shadow-evaluation soak before a pulled candidate is promoted (negative = promote immediately); the manifest's shadow_policy judges it")
 
 	fs.Float64Var(&c.TraceSampleRate, "trace-sample-rate", 0.01, "head-based trace sampling fraction in [0,1] (0 disables tracing)")
 	fs.BoolVar(&c.Pprof, "pprof", false, "mount net/http/pprof under /debug/pprof/")
@@ -138,7 +134,6 @@ func (c Config) Validate() error {
 			errs = append(errs, fmt.Errorf("%s (-%s) = %v: want %s", field, name, v, want))
 		}
 	}
-	check(c.MinAgreement > 0 && c.MinAgreement <= 1, "MinAgreement", "min-agreement", c.MinAgreement, "a rate in (0,1]")
 	check(c.SLOAvailability >= 0 && c.SLOAvailability < 1, "SLOAvailability", "slo-availability", c.SLOAvailability, "a fraction in [0,1)")
 	check(c.ShadowFraction >= 0 && c.ShadowFraction <= 1, "ShadowFraction", "shadow-fraction", c.ShadowFraction, "a fraction in [0,1]")
 	check(c.TraceSampleRate >= 0 && c.TraceSampleRate <= 1, "TraceSampleRate", "trace-sample-rate", c.TraceSampleRate, "a fraction in [0,1]")
@@ -256,17 +251,15 @@ func New(cfg Config, o *obs.Obs) (*Stack, error) {
 			}
 		}
 		s.Agent, err = replica.NewAgent(o, replica.AgentConfig{
-			ControlPlane:     cfg.ControlPlane,
-			ReplicaID:        id,
-			Advertise:        cfg.Advertise,
-			Registry:         s.Registry,
-			Shadow:           s.shadow,
-			Health:           s.health,
-			SLO:              tracker,
-			PollInterval:     cfg.ManifestPoll,
-			StageSoak:        cfg.StageSoak,
-			MinAgreement:     cfg.MinAgreement,
-			MinShadowSamples: cfg.MinShadowSamples,
+			ControlPlane: cfg.ControlPlane,
+			ReplicaID:    id,
+			Advertise:    cfg.Advertise,
+			Registry:     s.Registry,
+			Shadow:       s.shadow,
+			Health:       s.health,
+			SLO:          tracker,
+			PollInterval: cfg.ManifestPoll,
+			StageSoak:    cfg.StageSoak,
 		})
 		if err != nil {
 			s.Close()
@@ -335,11 +328,11 @@ func (s *Stack) loop(fn func(context.Context)) {
 }
 
 // Close stops the stack once its HTTP surface has drained: the retrain
-// controller first (a judging cycle may be waiting on the shadow), then the
-// shadow workers (queued samples are evaluated first), then the watcher,
-// agent and runtime loops, waiting for them to return. Last it dumps the
-// anomaly flight recorder to the log — once the process exits the
-// in-memory ring is gone — and closes the feedback store.
+// controller first (an in-flight cycle may still stage a candidate into the
+// shadow), then the shadow workers (queued samples are evaluated first),
+// then the watcher, agent and runtime loops, waiting for them to return.
+// Last it dumps the anomaly flight recorder to the log — once the process
+// exits the in-memory ring is gone — and closes the feedback store.
 func (s *Stack) Close() error {
 	if s.ctrl != nil {
 		s.ctrl.Stop()

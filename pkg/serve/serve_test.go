@@ -18,15 +18,15 @@ import (
 var trainedFixture = filepath.Join("..", "bundle", "testdata", "trained_small.json")
 
 // TestConfigFieldsAreFlags: every Config field is exactly one flag of the
-// binary, and the binary has 31 of them.
+// binary, and the binary has 29 of them.
 func TestConfigFieldsAreFlags(t *testing.T) {
 	var c Config
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	c.Flags(fs)
 	n := 0
 	fs.VisitAll(func(*flag.Flag) { n++ })
-	if fields := reflect.TypeOf(c).NumField(); n != fields || n != 31 {
-		t.Fatalf("%d flags for %d Config fields, want 31 of each", n, fields)
+	if fields := reflect.TypeOf(c).NumField(); n != fields || n != 29 {
+		t.Fatalf("%d flags for %d Config fields, want 29 of each", n, fields)
 	}
 	if err := Defaults().Validate(); err != nil {
 		t.Fatalf("defaults do not validate: %v", err)
@@ -39,7 +39,6 @@ func TestValidate(t *testing.T) {
 		mutate func(*Config)
 		want   []string // fields named by the error
 	}{
-		{"min-agreement as a percentage", func(c *Config) { c.MinAgreement = 95 }, []string{"MinAgreement"}},
 		{"slo-availability as a percentage", func(c *Config) { c.SLOAvailability = 99.9 }, []string{"SLOAvailability"}},
 		{"shadow-fraction negative", func(c *Config) { c.ShadowFraction = -0.1 }, []string{"ShadowFraction"}},
 		{"trace-sample-rate NaN", func(c *Config) { c.TraceSampleRate = math.NaN() }, []string{"TraceSampleRate"}},
@@ -47,9 +46,9 @@ func TestValidate(t *testing.T) {
 		// Rejected with the feedback store off too.
 		{"unknown promote-policy", func(c *Config) { c.PromotePolicy = "sometimes" }, []string{"PromotePolicy"}},
 		{"all bad", func(c *Config) {
-			c.MinAgreement, c.SLOAvailability, c.ShadowFraction = 0, 1, 2
+			c.SLOAvailability, c.ShadowFraction = 1, 2
 			c.TraceSampleRate, c.CacheEntries, c.PromotePolicy = 1.5, -5, ""
-		}, []string{"MinAgreement", "SLOAvailability", "ShadowFraction", "TraceSampleRate", "CacheEntries", "PromotePolicy"}},
+		}, []string{"SLOAvailability", "ShadowFraction", "TraceSampleRate", "CacheEntries", "PromotePolicy"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
