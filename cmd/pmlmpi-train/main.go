@@ -12,6 +12,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -66,35 +67,66 @@ type report struct {
 	Hash        string             `json:"hash"`
 }
 
+// defineFlags registers every pmlmpi-train flag on fs and returns the
+// options they parse into.
+func defineFlags(fs *flag.FlagSet) *options {
+	opts := &options{}
+	fs.Var(&opts.datasets, "dataset", "benchmark records to ingest (.csv/.jsonl; repeatable)")
+	fs.BoolVar(&opts.sweep, "synthetic-sweep", false, "add an analytical perfmodel sweep to the training set")
+	fs.StringVar(&opts.collectives, "collectives", "", "comma-separated collectives for -synthetic-sweep (default: all supported)")
+	fs.IntVar(&opts.trees, "trees", 48, "trees per collective forest")
+	fs.IntVar(&opts.depth, "depth", 14, "maximum tree depth")
+	fs.IntVar(&opts.minLeaf, "min-samples-leaf", 1, "minimum samples per leaf")
+	fs.Float64Var(&opts.featureFrac, "feature-frac", 0.8, "per-tree feature subsample fraction in (0,1]")
+	fs.Float64Var(&opts.testFrac, "test-frac", 0.2, "held-out fraction for the accuracy report (0 trains on everything)")
+	fs.Int64Var(&opts.seed, "seed", 1, "random seed (equal seeds and inputs reproduce the bundle byte-for-byte)")
+	fs.StringVar(&opts.out, "out", "bundle_trained.json", "output bundle path (written atomically)")
+	fs.StringVar(&opts.format, "format", "json", "bundle encoding: json (canonical) or binary (compact PMLB)")
+	fs.StringVar(&opts.trainedOn, "trained-on", "", "comma-separated provenance labels (default: dataset file names and sweep system names)")
+	fs.BoolVar(&opts.quiet, "quiet", false, "suppress the JSON training report on stdout")
+	return opts
+}
+
 func main() {
-	var opts options
-	flag.Var(&opts.datasets, "dataset", "benchmark records to ingest (.csv/.jsonl; repeatable)")
-	flag.BoolVar(&opts.sweep, "synthetic-sweep", false, "add an analytical perfmodel sweep to the training set")
-	flag.StringVar(&opts.collectives, "collectives", "", "comma-separated collectives for -synthetic-sweep (default: all supported)")
-	flag.IntVar(&opts.trees, "trees", 48, "trees per collective forest")
-	flag.IntVar(&opts.depth, "depth", 14, "maximum tree depth")
-	flag.IntVar(&opts.minLeaf, "min-samples-leaf", 1, "minimum samples per leaf")
-	flag.Float64Var(&opts.featureFrac, "feature-frac", 0.8, "per-tree feature subsample fraction in (0,1]")
-	flag.Float64Var(&opts.testFrac, "test-frac", 0.2, "held-out fraction for the accuracy report (0 trains on everything)")
-	flag.Int64Var(&opts.seed, "seed", 1, "random seed (equal seeds and inputs reproduce the bundle byte-for-byte)")
-	flag.StringVar(&opts.out, "out", "bundle_trained.json", "output bundle path (written atomically)")
-	flag.StringVar(&opts.format, "format", "json", "bundle encoding: json (canonical) or binary (compact PMLB)")
-	flag.StringVar(&opts.trainedOn, "trained-on", "", "comma-separated provenance labels (default: dataset file names and sweep system names)")
-	flag.BoolVar(&opts.quiet, "quiet", false, "suppress the JSON training report on stdout")
+	opts := defineFlags(flag.CommandLine)
 	flag.Parse()
 
-	if err := run(opts); err != nil {
+	if err := run(*opts); err != nil {
 		fmt.Fprintf(os.Stderr, "pmlmpi-train: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(opts options) error {
-	if !opts.sweep && len(opts.datasets) == 0 {
-		return fmt.Errorf("nothing to train on: pass -dataset files and/or -synthetic-sweep")
+// trainConfig is the forest configuration the flags select.
+func (o options) trainConfig() train.Config {
+	return train.Config{
+		Trees:          o.trees,
+		MaxDepth:       o.depth,
+		MinSamplesLeaf: o.minLeaf,
+		FeatureFrac:    o.featureFrac,
+		Seed:           o.seed,
 	}
-	if opts.format != "json" && opts.format != "binary" {
-		return fmt.Errorf("unknown -format %q (want \"json\" or \"binary\")", opts.format)
+}
+
+// validate reports every bad flag at once, before any work starts.
+func (o options) validate() error {
+	var errs []error
+	if !o.sweep && len(o.datasets) == 0 {
+		errs = append(errs, errors.New("nothing to train on: pass -dataset files and/or -synthetic-sweep"))
+	}
+	if o.format != "json" && o.format != "binary" {
+		errs = append(errs, fmt.Errorf("unknown -format %q (want \"json\" or \"binary\")", o.format))
+	}
+	if !(o.testFrac >= 0 && o.testFrac < 1) {
+		errs = append(errs, fmt.Errorf("-test-frac = %v: want a fraction in [0,1) (0 trains on everything)", o.testFrac))
+	}
+	errs = append(errs, o.trainConfig().Validate())
+	return errors.Join(errs...)
+}
+
+func run(opts options) error {
+	if err := opts.validate(); err != nil {
+		return err
 	}
 
 	table := perfmodel.Table()
@@ -141,13 +173,7 @@ func run(opts options) error {
 	sort.Strings(trainedOn)
 
 	b, reports, err := train.TrainBundle(trainSet, train.BundleConfig{
-		Config: train.Config{
-			Trees:          opts.trees,
-			MaxDepth:       opts.depth,
-			MinSamplesLeaf: opts.minLeaf,
-			FeatureFrac:    opts.featureFrac,
-			Seed:           opts.seed,
-		},
+		Config:    opts.trainConfig(),
 		TrainedOn: trainedOn,
 	})
 	if err != nil {
@@ -163,13 +189,10 @@ func run(opts options) error {
 	}
 
 	var data []byte
-	switch opts.format {
-	case "json":
-		data, err = b.WriteFile(opts.out)
-	case "binary":
+	if opts.format == "binary" {
 		data, err = b.WriteFileBinary(opts.out)
-	default:
-		return fmt.Errorf("unknown -format %q (want \"json\" or \"binary\")", opts.format)
+	} else {
+		data, err = b.WriteFile(opts.out)
 	}
 	if err != nil {
 		return err

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -55,12 +56,20 @@ func Key(collective string, features map[string]float64) string {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	var b strings.Builder
-	b.WriteString(collective)
+	// The same bytes as "|%s=%x" per feature, without fmt.
+	size := len(collective)
 	for _, n := range names {
-		fmt.Fprintf(&b, "|%s=%x", n, math.Float64bits(features[n]))
+		size += len(n) + 18 // '|', '=' and at most 16 hex digits
 	}
-	return b.String()
+	b := make([]byte, 0, size)
+	b = append(b, collective...)
+	for _, n := range names {
+		b = append(b, '|')
+		b = append(b, n...)
+		b = append(b, '=')
+		b = strconv.AppendUint(b, math.Float64bits(features[n]), 16)
+	}
+	return string(b)
 }
 
 // AppendJSONL is an append-only writer of validated benchmark records in

@@ -1,8 +1,12 @@
 package dataset
 
 import (
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
 )
 
@@ -186,5 +190,48 @@ func TestValidateRecordResolvesLabels(t *testing.T) {
 	cls, name, err = ValidateRecord(algos, explicit)
 	if err != nil || name != "pipeline" || cls != 1 {
 		t.Fatalf("explicit algorithm: got class %d %q err %v, want 1 pipeline", cls, name, err)
+	}
+}
+
+// fmtKey is the formula Key has always produced, spelled with fmt.
+func fmtKey(collective string, features map[string]float64) string {
+	names := make([]string, 0, len(features))
+	for n := range features {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	var b strings.Builder
+	b.WriteString(collective)
+	for _, n := range names {
+		fmt.Fprintf(&b, "|%s=%x", n, math.Float64bits(features[n]))
+	}
+	return b.String()
+}
+
+// TestKeyBytes pins Key byte for byte: dedup identities and the feedback
+// store's duplicate index depend on it, so a faster encoder must not move
+// a single byte.
+func TestKeyBytes(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	if got, want := Key("broadcast", map[string]float64{"ppn": 0, "log2_msg_size": negZero}),
+		"broadcast|log2_msg_size=8000000000000000|ppn=0"; got != want {
+		t.Errorf("Key = %q, want %q", got, want)
+	}
+	cases := []map[string]float64{
+		nil,
+		{"num_nodes": 0},
+		{"num_nodes": negZero},
+		{"num_nodes": math.SmallestNonzeroFloat64},
+		{"num_nodes": math.MaxFloat64},
+		{"num_nodes": -math.MaxFloat64},
+		// Inserted out of order: map iteration order must not matter.
+		{"thread_count": 96, "ppn": 48, "mem_bw_gbs": 204.8, "log2_msg_size": 22, "num_nodes": 32, "a": 1e-310},
+	}
+	for _, features := range cases {
+		for _, coll := range []string{"", "alltoall"} {
+			if got, want := Key(coll, features), fmtKey(coll, features); got != want {
+				t.Errorf("Key(%q, %v) = %q, want %q", coll, features, got, want)
+			}
+		}
 	}
 }

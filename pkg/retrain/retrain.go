@@ -260,6 +260,9 @@ func New(o *obs.Obs, cfg Config, deps Deps) (*Controller, error) {
 		return nil, fmt.Errorf("retrain: unknown promote policy %q (want %s or %s)",
 			cfg.PromotePolicy, PolicyAuto, PolicyManual)
 	}
+	if err := cfg.Trainer.Validate(); err != nil {
+		return nil, fmt.Errorf("retrain: Trainer: %w", err)
+	}
 	c := &Controller{
 		o:    o,
 		cfg:  cfg,

@@ -1,6 +1,7 @@
 package retrain
 
 import (
+	"math"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -276,6 +277,10 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	}
 	if _, err := New(h.o, Config{PromotePolicy: "yolo"}, Deps{Store: h.store, Registry: h.reg}); err == nil {
 		t.Fatal("New accepted unknown promote policy")
+	}
+	if _, err := New(h.o, Config{Trainer: train.Config{FeatureFrac: math.NaN()}}, Deps{Store: h.store, Registry: h.reg}); err == nil ||
+		!strings.Contains(err.Error(), "FeatureFrac") {
+		t.Fatalf("New with Trainer.FeatureFrac NaN = %v, want an error naming FeatureFrac", err)
 	}
 	if !ValidPolicy(PolicyAuto) || !ValidPolicy(PolicyManual) || ValidPolicy("x") {
 		t.Fatal("ValidPolicy misclassifies")

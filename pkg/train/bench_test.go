@@ -3,6 +3,7 @@ package train_test
 import (
 	"testing"
 
+	"github.com/pml-mpi/pmlmpi/pkg/dataset"
 	"github.com/pml-mpi/pmlmpi/pkg/perfmodel"
 	"github.com/pml-mpi/pmlmpi/pkg/train"
 )
@@ -71,6 +72,30 @@ func BenchmarkTrainBundle(b *testing.B) {
 		if _, _, err := train.TrainBundle(ds, train.BundleConfig{
 			Config: train.Config{Trees: 16, MaxDepth: 10, Seed: 1},
 		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTrainBundleDefaultSweep trains exactly what `pmlmpi-train
+// -synthetic-sweep -seed 1` and the repo benchmark train: the default
+// sweep, deduplicated, split 80/20 with seed 1, under Config{Seed: 1}.
+// Only TrainBundle is timed.
+func BenchmarkTrainBundleDefaultSweep(b *testing.B) {
+	swept, err := perfmodel.Sweep(perfmodel.SweepConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ds := dataset.New(perfmodel.Table())
+	if err := ds.Merge(swept); err != nil {
+		b.Fatal(err)
+	}
+	ds.Dedup()
+	trainSet, _ := ds.Split(0.2, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := train.TrainBundle(trainSet, train.BundleConfig{Config: train.Config{Seed: 1}}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -61,6 +61,9 @@ func featureSubset(examples []dataset.Example) ([]int, []string, error) {
 // features present in all of its examples; its class space is the
 // dataset's algorithm table. Deterministic for a fixed cfg.Seed.
 func TrainBundle(ds *dataset.Dataset, cfg BundleConfig) (*bundle.Bundle, []Report, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, nil, fmt.Errorf("train: %w", err)
+	}
 	if ds.Len() == 0 {
 		return nil, nil, fmt.Errorf("train: dataset is empty")
 	}

@@ -5,11 +5,25 @@
 // per-feature importance. Trained forests export to the exact on-disk
 // bundle format, so the offline train → publish → hot-swap loop runs
 // entirely inside this repo.
+//
+// The split search is presorted. TrainForest sorts each feature column
+// once by (value, sample index); each tree filters those orders down to
+// its in-bag samples, keeping a sample's bootstrap multiplicity as an
+// integer weight; a node is a [lo, hi) range over the per-feature lists, so
+// its best split is one linear scan per feature, and a split stably
+// partitions every list instead of sorting anything again. The trees are
+// byte-identical to those of sorting each node's samples afresh for every
+// feature (reference_test.go keeps that learner as the answer key): class
+// counts stay exact integers, features and thresholds are visited in
+// ascending order, a tie keeps the earlier split, no cut falls between
+// equal values, and the threshold is the midpoint of the two values it
+// separates.
 package train
 
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"github.com/pml-mpi/pmlmpi/pkg/forest"
@@ -26,30 +40,65 @@ type cartConfig struct {
 	features []int
 }
 
-// cartBuilder grows one tree over a column-major view of the training
-// matrix. Nodes append parent-before-children, so child indices always
-// point forward — the invariant forest.Validate enforces.
+// presorted is a training matrix prepared once per forest: column-major
+// values plus, per column, every sample index sorted by (value, index).
+// Trees only ever filter and partition these orders, never sort them.
+type presorted struct {
+	cols  [][]float64 // cols[feature][sample]
+	order [][]int32   // order[feature]: samples by ascending (value, index)
+}
+
+// presort transposes x and sorts each column once. The (value, index)
+// order is total, so the unstable sort still has exactly one result, and
+// it treats -0 and +0 as equal values, as the split scan does.
+func presort(x [][]float64) *presorted {
+	nFeatures := len(x[0])
+	p := &presorted{cols: make([][]float64, nFeatures), order: make([][]int32, nFeatures)}
+	for f := range p.cols {
+		col := make([]float64, len(x))
+		order := make([]int32, len(x))
+		for i, row := range x {
+			col[i] = row[f]
+			order[i] = int32(i)
+		}
+		slices.SortFunc(order, func(a, b int32) int {
+			switch va, vb := col[a], col[b]; {
+			case va < vb:
+				return -1
+			case va > vb:
+				return 1
+			}
+			return int(a - b)
+		})
+		p.cols[f], p.order[f] = col, order
+	}
+	return p
+}
+
+// cartBuilder grows one tree. Each in-bag sample appears once in every
+// per-feature list with its bootstrap multiplicity as an integer weight, so
+// class counts stay exact integers. A node is a [lo, hi) range that is the
+// same sample set in every list; splitting a node stably partitions each
+// list's range into left then right, which keeps every range sorted.
+// Nodes append parent-before-children, so child indices always point
+// forward — the invariant forest.Validate enforces.
 type cartBuilder struct {
-	cfg cartConfig
-	x   [][]float64 // x[sample][feature]
-	y   []int
+	cfg    cartConfig
+	cols   [][]float64
+	y      []int
+	weight []int32   // bootstrap multiplicity per sample
+	lists  [][]int32 // lists[k]: in-bag samples sorted by cols[cfg.features[k]]
 	// importance accumulates weighted Gini decrease per (full-space)
 	// feature column as splits are chosen.
 	importance []float64
 	nTotal     float64
 	nodes      []forest.Node
-	// scratch buffers reused across splits to keep allocation flat.
+	// scratch buffers reused across nodes to keep allocation flat.
+	counts      []float64
 	leftCounts  []float64
 	rightCounts []float64
-}
-
-// counts tallies class membership for the given sample indices.
-func (b *cartBuilder) counts(idx []int) []float64 {
-	c := make([]float64, b.cfg.nClasses)
-	for _, i := range idx {
-		c[b.y[i]]++
-	}
-	return c
+	goLeft      []bool
+	spill       []int32
 }
 
 // gini computes the Gini impurity of a class-count vector with n total
@@ -74,38 +123,32 @@ type split struct {
 	ok        bool
 }
 
-// bestSplit searches the candidate features for the split with the
-// largest impurity decrease. Ties break toward the lower feature index,
-// then the lower threshold, so tree growth is fully deterministic.
-func (b *cartBuilder) bestSplit(idx []int, parentCounts []float64) split {
-	n := float64(len(idx))
+// bestSplit searches the candidate features for the split of the node
+// [lo, hi) with the largest impurity decrease, one linear scan per feature
+// over its presorted list. Ties break toward the lower feature index, then
+// the lower threshold, so tree growth is fully deterministic.
+func (b *cartBuilder) bestSplit(lo, hi int, parentCounts []float64, n float64) split {
 	parentGini := gini(parentCounts, n)
 	best := split{}
-	order := make([]int, len(idx))
-	for _, f := range b.cfg.features {
-		copy(order, idx)
-		// Sort samples by (value, index): the index tiebreak keeps the
-		// scan order — and therefore midpoint thresholds — deterministic.
-		sort.Slice(order, func(a, c int) bool {
-			va, vc := b.x[order[a]][f], b.x[order[c]][f]
-			if va != vc {
-				return va < vc
-			}
-			return order[a] < order[c]
-		})
+	for k, f := range b.cfg.features {
+		order, col := b.lists[k][lo:hi], b.cols[f]
 		for i := range b.leftCounts {
 			b.leftCounts[i] = 0
 			b.rightCounts[i] = parentCounts[i]
 		}
+		nl := 0.0
 		for i := 0; i < len(order)-1; i++ {
-			cls := b.y[order[i]]
-			b.leftCounts[cls]++
-			b.rightCounts[cls]--
-			v, next := b.x[order[i]][f], b.x[order[i+1]][f]
+			s := order[i]
+			w := float64(b.weight[s])
+			cls := b.y[s]
+			b.leftCounts[cls] += w
+			b.rightCounts[cls] -= w
+			nl += w
+			v, next := col[s], col[order[i+1]]
 			if v == next {
 				continue // can't cut between equal values
 			}
-			nl, nr := float64(i+1), n-float64(i+1)
+			nr := n - nl
 			if int(nl) < b.cfg.minSamplesLeaf || int(nr) < b.cfg.minSamplesLeaf {
 				continue
 			}
@@ -134,12 +177,36 @@ func leafDist(counts []float64, n float64) []float64 {
 	return d
 }
 
-// build grows the subtree over idx and returns its node index.
-func (b *cartBuilder) build(idx []int, depth int) int {
+// partition stably moves the samples of list that go left to its front,
+// the rest behind them, and returns how many went left.
+func (b *cartBuilder) partition(list []int32) int {
+	l, r := 0, 0
+	for _, s := range list {
+		if b.goLeft[s] {
+			list[l] = s
+			l++
+		} else {
+			b.spill[r] = s
+			r++
+		}
+	}
+	copy(list[l:], b.spill[:r])
+	return l
+}
+
+// build grows the subtree over the node [lo, hi) and returns its node
+// index.
+func (b *cartBuilder) build(lo, hi, depth int) int {
 	at := len(b.nodes)
 	b.nodes = append(b.nodes, forest.Node{})
-	counts := b.counts(idx)
-	n := float64(len(idx))
+	counts := b.counts
+	clear(counts)
+	total := 0
+	for _, s := range b.lists[0][lo:hi] {
+		counts[b.y[s]] += float64(b.weight[s])
+		total += int(b.weight[s])
+	}
+	n := float64(total)
 
 	pure := false
 	for _, c := range counts {
@@ -148,49 +215,71 @@ func (b *cartBuilder) build(idx []int, depth int) int {
 			break
 		}
 	}
-	if pure || depth >= b.cfg.maxDepth || len(idx) < b.cfg.minSamplesSplit {
+	if pure || depth >= b.cfg.maxDepth || total < b.cfg.minSamplesSplit {
 		b.nodes[at] = forest.Node{F: -1, D: leafDist(counts, n)}
 		return at
 	}
-	sp := b.bestSplit(idx, counts)
+	sp := b.bestSplit(lo, hi, counts, n)
 	if !sp.ok {
 		b.nodes[at] = forest.Node{F: -1, D: leafDist(counts, n)}
 		return at
 	}
 	b.importance[sp.feature] += (n / b.nTotal) * sp.gain
 
-	left := make([]int, 0, len(idx))
-	right := make([]int, 0, len(idx))
-	for _, i := range idx {
-		if b.x[i][sp.feature] <= sp.threshold {
-			left = append(left, i)
-		} else {
-			right = append(right, i)
-		}
+	col := b.cols[sp.feature]
+	for _, s := range b.lists[0][lo:hi] {
+		b.goLeft[s] = col[s] <= sp.threshold
 	}
-	l := b.build(left, depth+1)
-	r := b.build(right, depth+1)
+	mid := lo
+	for _, list := range b.lists {
+		mid = lo + b.partition(list[lo:hi])
+	}
+	l := b.build(lo, mid, depth+1)
+	r := b.build(mid, hi, depth+1)
 	b.nodes[at] = forest.Node{F: sp.feature, T: sp.threshold, L: l, R: r}
 	return at
 }
 
-// trainTree grows one CART tree on the samples in idx and returns the
-// tree plus the per-feature importance it accumulated.
-func trainTree(x [][]float64, y []int, idx []int, cfg cartConfig) (forest.Tree, []float64, error) {
+// trainTree grows one CART tree on the bootstrap sample idx (sample
+// indices, repeats allowed) and returns the tree plus the per-feature
+// importance it accumulated.
+func trainTree(p *presorted, y []int, idx []int, cfg cartConfig) (forest.Tree, []float64, error) {
 	if len(idx) == 0 {
 		return forest.Tree{}, nil, fmt.Errorf("train: tree has no samples")
 	}
-	nFeatures := len(x[0])
+	weight := make([]int32, len(y))
+	inBag := 0
+	for _, s := range idx {
+		if weight[s] == 0 {
+			inBag++
+		}
+		weight[s]++
+	}
+	lists := make([][]int32, len(cfg.features))
+	for k, f := range cfg.features {
+		list := make([]int32, 0, inBag)
+		for _, s := range p.order[f] {
+			if weight[s] > 0 {
+				list = append(list, s)
+			}
+		}
+		lists[k] = list
+	}
 	b := &cartBuilder{
 		cfg:         cfg,
-		x:           x,
+		cols:        p.cols,
 		y:           y,
-		importance:  make([]float64, nFeatures),
+		weight:      weight,
+		lists:       lists,
+		importance:  make([]float64, len(p.cols)),
 		nTotal:      float64(len(idx)),
+		counts:      make([]float64, cfg.nClasses),
 		leftCounts:  make([]float64, cfg.nClasses),
 		rightCounts: make([]float64, cfg.nClasses),
+		goLeft:      make([]bool, len(y)),
+		spill:       make([]int32, inBag),
 	}
-	b.build(idx, 0)
+	b.build(0, inBag, 0)
 	return forest.Tree{Nodes: b.nodes}, b.importance, nil
 }
 

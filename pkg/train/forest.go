@@ -1,6 +1,7 @@
 package train
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -11,7 +12,8 @@ import (
 )
 
 // Config tunes the random-forest trainer. The zero value takes the
-// documented defaults, so Config{} is a usable configuration.
+// documented defaults, so Config{} is a usable configuration; any other
+// out-of-range value is an error (see Validate), never silently replaced.
 type Config struct {
 	// Trees in the ensemble (default 48).
 	Trees int
@@ -34,23 +36,47 @@ type Config struct {
 	Workers int
 }
 
+// Validate reports every value TrainForest would otherwise have to rewrite,
+// one joined error naming each bad field and, where it has one, its
+// pmlmpi-train flag. Zero keeps meaning "default"; NaN is never valid.
+func (c Config) Validate() error {
+	var errs []error
+	check := func(ok bool, field, flag string, v any, want string) {
+		if ok {
+			return
+		}
+		if flag != "" {
+			field += " (-" + flag + ")"
+		}
+		errs = append(errs, fmt.Errorf("%s = %v: want %s", field, v, want))
+	}
+	check(c.Trees >= 0, "Trees", "trees", c.Trees, "a count >= 1 (0 = default 48)")
+	check(c.MaxDepth >= 0, "MaxDepth", "depth", c.MaxDepth, "a depth >= 1 (0 = default 14)")
+	check(c.MinSamplesSplit == 0 || c.MinSamplesSplit >= 2, "MinSamplesSplit", "", c.MinSamplesSplit, "a count >= 2 (0 = default 2)")
+	check(c.MinSamplesLeaf >= 0, "MinSamplesLeaf", "min-samples-leaf", c.MinSamplesLeaf, "a count >= 1 (0 = default 1)")
+	check(c.FeatureFrac >= 0 && c.FeatureFrac <= 1, "FeatureFrac", "feature-frac", c.FeatureFrac, "a fraction in (0,1] (0 = default 0.8)")
+	check(c.Workers >= 0, "Workers", "", c.Workers, "a count >= 1 (0 = GOMAXPROCS)")
+	return errors.Join(errs...)
+}
+
+// withDefaults fills the zero fields of a valid Config.
 func (c Config) withDefaults() Config {
-	if c.Trees <= 0 {
+	if c.Trees == 0 {
 		c.Trees = 48
 	}
-	if c.MaxDepth <= 0 {
+	if c.MaxDepth == 0 {
 		c.MaxDepth = 14
 	}
-	if c.MinSamplesSplit < 2 {
+	if c.MinSamplesSplit == 0 {
 		c.MinSamplesSplit = 2
 	}
-	if c.MinSamplesLeaf < 1 {
+	if c.MinSamplesLeaf == 0 {
 		c.MinSamplesLeaf = 1
 	}
-	if c.FeatureFrac <= 0 || c.FeatureFrac > 1 {
+	if c.FeatureFrac == 0 {
 		c.FeatureFrac = 0.8
 	}
-	if c.Workers <= 0 {
+	if c.Workers == 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	return c
@@ -77,6 +103,9 @@ type Result struct {
 // sample, column per feature) and labels y in [0, nClasses). Deterministic
 // for a fixed Config.Seed regardless of Config.Workers.
 func TrainForest(x [][]float64, y []int, nClasses int, cfg Config) (*Result, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, fmt.Errorf("train: %w", err)
+	}
 	cfg = cfg.withDefaults()
 	if len(x) == 0 {
 		return nil, fmt.Errorf("train: no samples")
@@ -112,6 +141,7 @@ func TrainForest(x [][]float64, y []int, nClasses int, cfg Config) (*Result, err
 		kFeatures = 1
 	}
 
+	sorted := presort(x)
 	type treeOut struct {
 		tree       forest.Tree
 		importance []float64
@@ -137,7 +167,7 @@ func TrainForest(x [][]float64, y []int, nClasses int, cfg Config) (*Result, err
 				inBag[s] = true
 			}
 			feats := sampleFeatures(rng, nFeatures, kFeatures)
-			tree, imp, err := trainTree(x, y, idx, cartConfig{
+			tree, imp, err := trainTree(sorted, y, idx, cartConfig{
 				maxDepth:        cfg.MaxDepth,
 				minSamplesSplit: cfg.MinSamplesSplit,
 				minSamplesLeaf:  cfg.MinSamplesLeaf,

@@ -121,6 +121,62 @@ func TestTrainForestValidation(t *testing.T) {
 	}
 }
 
+// TestConfigValidate: every out-of-range field is named, NaN included,
+// and zero keeps meaning "default". TrainForest and TrainBundle refuse an
+// invalid Config instead of substituting defaults.
+func TestConfigValidate(t *testing.T) {
+	valid := []train.Config{
+		{},
+		{Trees: 48, MaxDepth: 14, MinSamplesSplit: 2, MinSamplesLeaf: 1, FeatureFrac: 0.8, Workers: 1},
+		{FeatureFrac: 1, Seed: -7},
+	}
+	for _, c := range valid {
+		if err := c.Validate(); err != nil {
+			t.Errorf("Validate(%+v) = %v, want nil", c, err)
+		}
+	}
+	cases := []struct {
+		name string
+		cfg  train.Config
+		want []string
+	}{
+		{"negative trees", train.Config{Trees: -5}, []string{"Trees (-trees) = -5"}},
+		{"negative depth", train.Config{MaxDepth: -1}, []string{"MaxDepth (-depth) = -1"}},
+		{"min split 1", train.Config{MinSamplesSplit: 1}, []string{"MinSamplesSplit = 1"}},
+		{"negative min leaf", train.Config{MinSamplesLeaf: -1}, []string{"MinSamplesLeaf (-min-samples-leaf) = -1"}},
+		{"feature frac NaN", train.Config{FeatureFrac: math.NaN()}, []string{"FeatureFrac (-feature-frac) = NaN"}},
+		{"feature frac above 1", train.Config{FeatureFrac: 7}, []string{"FeatureFrac (-feature-frac) = 7"}},
+		{"feature frac negative", train.Config{FeatureFrac: -0.5}, []string{"FeatureFrac (-feature-frac) = -0.5"}},
+		{"negative workers", train.Config{Workers: -2}, []string{"Workers = -2"}},
+		{"all bad", train.Config{Trees: -5, MaxDepth: -1, MinSamplesSplit: 1, MinSamplesLeaf: -1, FeatureFrac: math.NaN(), Workers: -2},
+			[]string{"Trees", "MaxDepth", "MinSamplesSplit", "MinSamplesLeaf", "FeatureFrac", "Workers"}},
+	}
+	x, y := xorProblem()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.cfg.Validate()
+			if err == nil {
+				t.Fatalf("Validate(%+v) = nil", tc.cfg)
+			}
+			for _, w := range tc.want {
+				if !strings.Contains(err.Error(), w) {
+					t.Errorf("error %q does not contain %q", err, w)
+				}
+			}
+			if _, err := train.TrainForest(x, y, 2, tc.cfg); err == nil {
+				t.Error("TrainForest accepted the invalid config")
+			}
+		})
+	}
+	ds, err := perfmodel.Sweep(perfmodel.SweepConfig{Collectives: []string{"broadcast"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := train.TrainBundle(ds, train.BundleConfig{Config: train.Config{FeatureFrac: math.NaN()}}); err == nil {
+		t.Error("TrainBundle accepted FeatureFrac NaN")
+	}
+}
+
 // TestTrainForestSingleClass: a degenerate all-one-class input still
 // yields a valid forest (all leaves vote that class).
 func TestTrainForestSingleClass(t *testing.T) {
