@@ -9,13 +9,10 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"github.com/pml-mpi/pmlmpi/pkg/buildinfo"
@@ -58,8 +55,6 @@ func run(o *obs.Obs, addr, storeDir, bundlePath string, roCfg controlplane.Rollo
 	if err := roCfg.Validate(); err != nil {
 		return err // a bad flag exits before listening
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 
 	store, err := controlplane.NewStore(storeDir)
 	if err != nil {
@@ -82,6 +77,12 @@ func run(o *obs.Obs, addr, storeDir, bundlePath string, roCfg controlplane.Rollo
 			"path", bundlePath, "hash", hash, "existed", existed, "bytes", len(data))
 	}
 
+	o.Logger.Info("control plane serving",
+		"addr", addr,
+		"version", buildinfo.Resolve(),
+		"store_dir", storeDir,
+		"bundles", store.Len(),
+		"canary_percent", roCfg.CanaryPercent)
 	srv := &http.Server{
 		Addr: addr,
 		Handler: controlplane.NewServer(store, rollout, o, controlplane.ServerConfig{
@@ -89,30 +90,5 @@ func run(o *obs.Obs, addr, storeDir, bundlePath string, roCfg controlplane.Rollo
 		}),
 		ReadHeaderTimeout: 5 * time.Second,
 	}
-
-	errc := make(chan error, 1)
-	go func() {
-		o.Logger.Info("control plane serving",
-			"addr", addr,
-			"version", buildinfo.Resolve(),
-			"store_dir", storeDir,
-			"bundles", store.Len(),
-			"canary_percent", roCfg.CanaryPercent)
-		if err := srv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
-			errc <- err
-		}
-	}()
-
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	stop()
-	o.Logger.Info("shutting down", "timeout", shutdownTimeout.String())
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
-	defer cancel()
-	err = srv.Shutdown(shutdownCtx)
-	o.Logger.Info("shutdown complete")
-	return err
+	return obs.Serve(context.Background(), srv, shutdownTimeout, o.Logger)
 }

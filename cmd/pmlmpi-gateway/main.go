@@ -7,14 +7,11 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"github.com/pml-mpi/pmlmpi/pkg/buildinfo"
@@ -79,46 +76,23 @@ func parseReplicas(s string) ([]gateway.ReplicaSpec, error) {
 }
 
 func run(o *obs.Obs, addr string, cfg gateway.Config, shutdownTimeout time.Duration) error {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
 	gw, err := gateway.New(o, cfg)
 	if err != nil {
 		return err
 	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	go gw.Run(ctx)
 
-	srv := &http.Server{
-		Addr:              addr,
-		Handler:           gw,
-		ReadHeaderTimeout: 5 * time.Second,
+	ids := make([]string, len(cfg.Replicas))
+	for i, r := range cfg.Replicas {
+		ids[i] = r.ID
 	}
-	errc := make(chan error, 1)
-	go func() {
-		ids := make([]string, len(cfg.Replicas))
-		for i, r := range cfg.Replicas {
-			ids[i] = r.ID
-		}
-		o.Logger.Info("gateway serving",
-			"addr", addr,
-			"version", buildinfo.Resolve(),
-			"replicas", ids,
-			"max_attempts", cfg.MaxAttempts)
-		if err := srv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
-			errc <- err
-		}
-	}()
-
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	stop()
-	o.Logger.Info("shutting down", "timeout", shutdownTimeout.String())
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
-	defer cancel()
-	err = srv.Shutdown(shutdownCtx)
-	o.Logger.Info("shutdown complete")
-	return err
+	o.Logger.Info("gateway serving",
+		"addr", addr,
+		"version", buildinfo.Resolve(),
+		"replicas", ids,
+		"max_attempts", cfg.MaxAttempts)
+	srv := &http.Server{Addr: addr, Handler: gw, ReadHeaderTimeout: 5 * time.Second}
+	return obs.Serve(ctx, srv, shutdownTimeout, o.Logger)
 }

@@ -57,7 +57,7 @@ func run(target, mode string, qps float64, duration, warmup time.Duration, worke
 		}
 	}
 	if dumpSpec {
-		return writeJSON(os.Stdout, spec)
+		return printJSON(os.Stdout, spec)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -103,7 +103,7 @@ func run(target, mode string, qps float64, duration, warmup time.Duration, worke
 	}
 
 	if out == "-" {
-		return writeJSON(os.Stdout, rep)
+		return printJSON(os.Stdout, rep)
 	}
 	if err := rep.WriteFile(out); err != nil {
 		return err
@@ -112,7 +112,7 @@ func run(target, mode string, qps float64, duration, warmup time.Duration, worke
 	return nil
 }
 
-func writeJSON(f *os.File, v any) error {
+func printJSON(f *os.File, v any) error {
 	enc := json.NewEncoder(f)
 	enc.SetIndent("", "  ")
 	return enc.Encode(v)

@@ -17,8 +17,6 @@ import (
 	"flag"
 	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"github.com/pml-mpi/pmlmpi/pkg/buildinfo"
@@ -39,48 +37,24 @@ func main() {
 }
 
 func run(o *obs.Obs, cfg serve.Config) error {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
 	st, err := serve.New(cfg, o) // validates cfg first: a bad flag exits before listening
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Addr: cfg.Addr, Handler: st.Handler, ReadHeaderTimeout: 5 * time.Second}
-
-	errc := make(chan error, 1)
-	go func() {
-		var genID uint64
-		var collectives []string
-		if g := st.Registry.ActiveGeneration(); g != nil {
-			genID = g.ID()
-			collectives = g.Bundle().CollectiveNames()
-		}
-		o.Logger.Info("serving",
-			"addr", cfg.Addr,
-			"role", st.Role,
-			"version", buildinfo.Resolve(),
-			"generation", genID,
-			"collectives", collectives)
-		if err := srv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
-			errc <- err
-		}
-	}()
-
-	select {
-	case err := <-errc:
-		return errors.Join(err, st.Close())
-	case <-ctx.Done():
+	var genID uint64
+	var collectives []string
+	if g := st.Registry.ActiveGeneration(); g != nil {
+		genID = g.ID()
+		collectives = g.Bundle().CollectiveNames()
 	}
-
-	// Graceful shutdown: restore default signal handling first (a second
-	// SIGINT kills the process immediately), drain in-flight HTTP with a
-	// deadline, then stop the stack behind it.
-	stop()
-	o.Logger.Info("shutting down", "timeout", cfg.ShutdownTimeout.String())
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), cfg.ShutdownTimeout)
-	defer cancel()
-	err = errors.Join(srv.Shutdown(shutdownCtx), st.Close())
-	o.Logger.Info("shutdown complete")
-	return err
+	o.Logger.Info("serving",
+		"addr", cfg.Addr,
+		"role", st.Role,
+		"version", buildinfo.Resolve(),
+		"generation", genID,
+		"collectives", collectives)
+	srv := &http.Server{Addr: cfg.Addr, Handler: st.Handler, ReadHeaderTimeout: 5 * time.Second}
+	// The stack closes after the HTTP drain, so no in-flight request
+	// outlives what it selects with.
+	return errors.Join(obs.Serve(context.Background(), srv, cfg.ShutdownTimeout, o.Logger), st.Close())
 }

@@ -1,16 +1,15 @@
 // Package admin serves the HTTP operational surface of the PML-MPI
 // selector: Prometheus metrics, health/readiness, ring buffers of recent
 // decisions and sampled traces, decision analytics, optional pprof, and a
-// JSON selection endpoint. Every request is itself instrumented (request
-// counter + duration histogram + access log), so the admin surface dogfoods
-// the obs package it exposes.
+// JSON selection endpoint. Every route is registered on an obs.Mux, so each
+// request is itself instrumented (request ID, request counter, duration
+// histogram, access log) and the admin surface dogfoods the obs package it
+// exposes.
 package admin
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -68,14 +67,6 @@ type Config struct {
 	Desired func() any
 }
 
-// Route describes one registered endpoint: its path and the single method
-// it accepts (HEAD rides along with GET). Every other method gets a 405
-// with an Allow header. The table backs the method-handling audit test.
-type Route struct {
-	Path   string `json:"path"`
-	Method string `json:"method"`
-}
-
 // Server is the admin HTTP handler.
 type Server struct {
 	sel      *selector.Selector
@@ -89,11 +80,7 @@ type Server struct {
 	role     string
 	desired  func() any
 	started  time.Time
-	mux      *http.ServeMux
-	routes   []Route
-
-	httpRequests *obs.Counter
-	httpLatency  *obs.Histogram
+	mux      *obs.Mux
 }
 
 // New builds the admin surface for a selector.
@@ -110,52 +97,45 @@ func New(sel *selector.Selector, o *obs.Obs, cfg Config) *Server {
 		role:     cfg.Role,
 		desired:  cfg.Desired,
 		started:  time.Now(),
-		mux:      http.NewServeMux(),
-		httpRequests: o.Registry.Counter("pmlmpi_http_requests_total",
-			"HTTP requests served, by path and status code.", "path", "code"),
-		httpLatency: o.Registry.Histogram("pmlmpi_http_request_duration_seconds",
-			"HTTP request handling latency.", obs.LatencyBuckets, "path"),
+		mux:      obs.NewMux(o, "pmlmpi"),
 	}
 	buildinfo.Register(o.Registry)
-	s.route("/metrics", http.MethodGet, "GET returns Prometheus text metrics", s.handleMetrics)
-	s.route("/healthz", http.MethodGet, "GET returns serving health", s.handleHealthz)
-	s.route("/debug/decisions", http.MethodGet, "GET lists recent decisions (?limit=, ?collective=)", s.handleDecisions)
-	s.route("/debug/traces", http.MethodGet, "GET lists sampled traces (?limit=) or one tree (?id=)", s.handleTraces)
-	s.route("/debug/analytics", http.MethodGet, "GET returns the decision-analytics rollup", s.handleAnalytics)
-	s.route("/v1/select", http.MethodPost, "POST a JSON body: {\"collective\": ..., \"features\": {...}}", s.handleSelect)
-	s.route("/v1/select/batch", http.MethodPost, "POST a JSON body: {\"requests\": [{\"collective\": ..., \"features\": {...}}, ...]}", s.handleSelectBatch)
+	s.mux.Route("/metrics", http.MethodGet, "GET returns Prometheus text metrics", s.handleMetrics)
+	s.mux.Route("/healthz", http.MethodGet, "GET returns serving health", s.handleHealthz)
+	s.mux.Route("/debug/decisions", http.MethodGet, "GET lists recent decisions (?limit=, ?collective=)", s.handleDecisions)
+	s.mux.Route("/debug/traces", http.MethodGet, "GET lists sampled traces (?limit=) or one tree (?id=)", s.handleTraces)
+	s.mux.Route("/debug/analytics", http.MethodGet, "GET returns the decision-analytics rollup", s.handleAnalytics)
+	s.mux.Route("/v1/select", http.MethodPost, "POST a JSON body: {\"collective\": ..., \"features\": {...}}", s.handleSelect)
+	s.mux.Route("/v1/select/batch", http.MethodPost, "POST a JSON body: {\"requests\": [{\"collective\": ..., \"features\": {...}}, ...]}", s.handleSelectBatch)
 	if cfg.Registry != nil {
-		s.route("/v1/registry", http.MethodGet, "GET lists registry generations", s.handleRegistry)
-		s.route("/v1/registry/load", http.MethodPost, "POST a JSON body: {\"path\": \"...\", \"promote\": false}", s.handleRegistryLoad)
-		s.route("/v1/registry/promote", http.MethodPost, "POST a JSON body: {\"id\": N} (omit id to promote the latest staged generation)", s.handleRegistryPromote)
-		s.route("/v1/registry/rollback", http.MethodPost, "POST with an empty body rolls back to the previously active generation", s.handleRegistryRollback)
+		s.mux.Route("/v1/registry", http.MethodGet, "GET lists registry generations", s.handleRegistry)
+		s.mux.Route("/v1/registry/load", http.MethodPost, "POST a JSON body: {\"path\": \"...\", \"promote\": false}", s.handleRegistryLoad)
+		s.mux.Route("/v1/registry/promote", http.MethodPost, "POST a JSON body: {\"id\": N} (omit id to promote the latest staged generation)", s.handleRegistryPromote)
+		s.mux.Route("/v1/registry/rollback", http.MethodPost, "POST with an empty body rolls back to the previously active generation", s.handleRegistryRollback)
 	}
 	if cfg.Shadow != nil {
-		s.route("/debug/shadow", http.MethodGet, "GET returns the shadow-evaluation report", s.handleShadow)
+		s.mux.Route("/debug/shadow", http.MethodGet, "GET returns the shadow-evaluation report", s.handleShadow)
 	}
 	if cfg.SLO != nil {
-		s.route("/debug/slo", http.MethodGet, "GET returns the rolling SLO burn-rate report", s.handleSLO)
+		s.mux.Route("/debug/slo", http.MethodGet, "GET returns the rolling SLO burn-rate report", s.handleSLO)
 	}
 	if cfg.Health != nil {
-		s.route("/debug/drift", http.MethodGet, "GET returns the feature-drift report", s.handleDrift)
-		s.route("/debug/scorecards", http.MethodGet, "GET returns per-generation model scorecards", s.handleScorecards)
-		s.route("/debug/flightrecorder", http.MethodGet, "GET dumps the anomaly flight recorder", s.handleFlightRecorder)
+		s.mux.Route("/debug/drift", http.MethodGet, "GET returns the feature-drift report", s.handleDrift)
+		s.mux.Route("/debug/scorecards", http.MethodGet, "GET returns per-generation model scorecards", s.handleScorecards)
+		s.mux.Route("/debug/flightrecorder", http.MethodGet, "GET dumps the anomaly flight recorder", s.handleFlightRecorder)
 	}
 	if cfg.Feedback != nil {
-		s.route("/v1/feedback", http.MethodPost, "POST a JSON body: one record ({\"collective\": ..., \"features\": {...}, \"latency_us\": {...}}) or a batch under \"records\"", s.handleFeedback)
+		s.mux.Route("/v1/feedback", http.MethodPost, "POST a JSON body: one record ({\"collective\": ..., \"features\": {...}, \"latency_us\": {...}}) or a batch under \"records\"", s.handleFeedback)
 	}
 	if cfg.Retrain != nil {
-		s.route("/debug/retrain", http.MethodGet, "GET returns the retrain controller state and verdict history", s.handleRetrain)
+		s.mux.Route("/debug/retrain", http.MethodGet, "GET returns the retrain controller state and verdict history", s.handleRetrain)
 	}
 	if cfg.Pprof {
-		// Mounted bare, without the instrument wrapper: statusRecorder does
-		// not forward http.Flusher, which the streaming profile endpoints
-		// need, and profiling traffic would skew the latency histogram.
-		s.mux.HandleFunc("/debug/pprof/", pprof.Index)
-		s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+		s.mux.Handle("/debug/pprof/", http.HandlerFunc(pprof.Index))
+		s.mux.Handle("/debug/pprof/cmdline", http.HandlerFunc(pprof.Cmdline))
+		s.mux.Handle("/debug/pprof/profile", http.HandlerFunc(pprof.Profile))
+		s.mux.Handle("/debug/pprof/symbol", http.HandlerFunc(pprof.Symbol))
+		s.mux.Handle("/debug/pprof/trace", http.HandlerFunc(pprof.Trace))
 	}
 	return s
 }
@@ -166,64 +146,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // Routes returns every registered endpoint with its accepted method
 // (pprof endpoints excepted — they are mounted bare). The audit test
 // iterates this table so no future route can dodge method enforcement.
-func (s *Server) Routes() []Route { return append([]Route(nil), s.routes...) }
-
-// route registers one method-enforced, instrumented endpoint. Any other
-// method is answered with 405, an RFC-required Allow header, and a usage
-// hint. HEAD is accepted wherever GET is (net/http discards the body).
-func (s *Server) route(path, method string, usage string, h http.HandlerFunc) {
-	s.routes = append(s.routes, Route{Path: path, Method: method})
-	s.mux.HandleFunc(path, s.instrument(path, func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != method && !(method == http.MethodGet && r.Method == http.MethodHead) {
-			w.Header().Set("Allow", method)
-			writeError(w, http.StatusMethodNotAllowed, usage)
-			return
-		}
-		h(w, r)
-	}))
-}
-
-// statusRecorder captures the status code written by a handler.
-type statusRecorder struct {
-	http.ResponseWriter
-	code int
-}
-
-func (sr *statusRecorder) WriteHeader(code int) {
-	sr.code = code
-	sr.ResponseWriter.WriteHeader(code)
-}
-
-// instrument wraps a route with request-ID propagation, the request
-// counter and duration histogram, and a debug-level access log. The series a
-// healthy route hits on every request — {path, code="200"} and the path's
-// duration histogram — are bound here, once, at registration; other status
-// codes take the label-joined lookup.
-func (s *Server) instrument(path string, h http.HandlerFunc) http.HandlerFunc {
-	ok200 := s.httpRequests.Bind(path, "200")
-	latency := s.httpLatency.Bind(path)
-	return func(w http.ResponseWriter, r *http.Request) {
-		ctx, reqID := obs.WithRequestID(r.Context(), r.Header.Get("X-Request-Id"))
-		w.Header().Set("X-Request-Id", reqID)
-		sr := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
-		start := time.Now()
-		h(sr, r.WithContext(ctx))
-		elapsed := time.Since(start)
-		if sr.code == http.StatusOK {
-			ok200.Inc()
-		} else {
-			s.httpRequests.Inc(path, strconv.Itoa(sr.code))
-		}
-		latency.Observe(elapsed.Seconds())
-		if s.o.Logger.Enabled(obs.LevelDebug) {
-			s.o.Logger.WithCtx(ctx).Debug("http request",
-				"method", r.Method,
-				"path", path,
-				"code", sr.code,
-				"duration_us", float64(elapsed.Microseconds()))
-		}
-	}
-}
+func (s *Server) Routes() []obs.Route { return s.mux.Routes() }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if s.slo != nil {
@@ -236,14 +159,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		// time, no refresher goroutine.
 		s.health.Refresh()
 	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.o.Registry.WritePrometheus(w)
+	s.o.Registry.ServeHTTP(w, r)
 }
 
 // handleSLO serves the rolling SLO report: objectives plus per-window
 // counts, availability, and burn rates.
 func (s *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.slo.Report())
+	obs.WriteJSON(w, http.StatusOK, s.slo.Report())
 }
 
 // healthCollective summarizes one collective model for /healthz.
@@ -306,7 +228,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	b := s.sel.Bundle()
 	if b == nil {
 		h.Status = "unavailable"
-		writeJSON(w, http.StatusServiceUnavailable, h)
+		obs.WriteJSON(w, http.StatusServiceUnavailable, h)
 		return
 	}
 	h.Status = "ok"
@@ -327,7 +249,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		if g == nil {
 			h.Status = "unavailable"
 			h.BundleLoaded = false
-			writeJSON(w, http.StatusServiceUnavailable, h)
+			obs.WriteJSON(w, http.StatusServiceUnavailable, h)
 			return
 		}
 		h.Generation = &healthGeneration{
@@ -337,7 +259,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			Collectives: len(g.Bundle().Collectives),
 		}
 	}
-	writeJSON(w, http.StatusOK, h)
+	obs.WriteJSON(w, http.StatusOK, h)
 }
 
 // queryLimit parses a non-negative integer query parameter, trying names in
@@ -351,7 +273,7 @@ func queryLimit(w http.ResponseWriter, r *http.Request, names ...string) int {
 		}
 		v, err := strconv.Atoi(q)
 		if err != nil || v < 0 {
-			writeError(w, http.StatusBadRequest,
+			obs.WriteError(w, http.StatusBadRequest,
 				fmt.Sprintf("bad %s=%q: want a non-negative integer", name, q))
 			return -1
 		}
@@ -379,7 +301,7 @@ func (s *Server) handleDecisions(w http.ResponseWriter, r *http.Request) {
 			resp["scorecard"] = sc
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	obs.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleTraces serves the sampled-trace ring: without ?id= it lists trace
@@ -389,10 +311,10 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	if id := r.URL.Query().Get("id"); id != "" {
 		tr, ok := s.o.Traces.Get(id)
 		if !ok {
-			writeError(w, http.StatusNotFound, fmt.Sprintf("no retained trace %q (evicted or never sampled)", id))
+			obs.WriteError(w, http.StatusNotFound, fmt.Sprintf("no retained trace %q (evicted or never sampled)", id))
 			return
 		}
-		writeJSON(w, http.StatusOK, tr)
+		obs.WriteJSON(w, http.StatusOK, tr)
 		return
 	}
 	limit := queryLimit(w, r, "limit")
@@ -400,7 +322,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	traces := s.o.Traces.List(limit)
-	writeJSON(w, http.StatusOK, map[string]any{
+	obs.WriteJSON(w, http.StatusOK, map[string]any{
 		"sample_rate": s.o.Traces.SampleRate(),
 		"count":       len(traces),
 		"traces":      traces,
@@ -411,7 +333,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 // collective × algorithm counts, cache-hit share, and latency quantiles.
 func (s *Server) handleAnalytics(w http.ResponseWriter, r *http.Request) {
 	rows := s.sel.Analytics()
-	writeJSON(w, http.StatusOK, map[string]any{
+	obs.WriteJSON(w, http.StatusOK, map[string]any{
 		"count": len(rows),
 		"rows":  rows,
 	})
@@ -420,31 +342,31 @@ func (s *Server) handleAnalytics(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	buf := getWireBuf()
 	defer putWireBuf(buf)
-	if err := buf.readBody(w, r, 1<<20); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	if err := obs.ReadBody(&buf.body, w, r, 1<<20); err != nil {
+		obs.WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
 	req, err := selector.DecodeSelect(buf.body.Bytes())
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		obs.WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
 	if req.Collective == "" {
-		writeError(w, http.StatusBadRequest, "missing \"collective\"")
+		obs.WriteError(w, http.StatusBadRequest, "missing \"collective\"")
 		return
 	}
 	// The map was decoded for this call alone, so the decision may keep it.
 	d, err := s.sel.SelectOwned(r.Context(), req.Collective, req.Features)
 	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, err.Error())
+		obs.WriteError(w, http.StatusUnprocessableEntity, err.Error())
 		return
 	}
 	if buf.out, err = selector.AppendDecision(buf.out[:0], d); err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
+		obs.WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	buf.out = append(buf.out, '\n')
-	writeBody(w, http.StatusOK, buf.out)
+	obs.WriteBody(w, http.StatusOK, buf.out)
 }
 
 // MaxBatchItems bounds one /v1/select/batch request.
@@ -458,30 +380,30 @@ const MaxBatchItems = 1024
 func (s *Server) handleSelectBatch(w http.ResponseWriter, r *http.Request) {
 	buf := getWireBuf()
 	defer putWireBuf(buf)
-	if err := buf.readBody(w, r, 8<<20); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	if err := obs.ReadBody(&buf.body, w, r, 8<<20); err != nil {
+		obs.WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
 	reqs, err := selector.DecodeBatch(buf.body.Bytes())
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		obs.WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
 	if len(reqs) == 0 {
-		writeError(w, http.StatusBadRequest, "empty batch: \"requests\" must have at least one item")
+		obs.WriteError(w, http.StatusBadRequest, "empty batch: \"requests\" must have at least one item")
 		return
 	}
 	if len(reqs) > MaxBatchItems {
-		writeError(w, http.StatusBadRequest,
+		obs.WriteError(w, http.StatusBadRequest,
 			fmt.Sprintf("batch of %d items exceeds the limit of %d", len(reqs), MaxBatchItems))
 		return
 	}
 	results := s.sel.SelectBatchOwned(r.Context(), reqs)
 	if buf.out, err = appendBatchResponse(buf.out[:0], results); err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
+		obs.WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	writeBody(w, http.StatusOK, buf.out)
+	obs.WriteBody(w, http.StatusOK, buf.out)
 }
 
 // appendBatchResponse renders the /v1/select/batch reply, newline included,
@@ -544,15 +466,6 @@ func putWireBuf(b *wireBuf) {
 	wireBufs.Put(b)
 }
 
-// readBody drains the size-capped request body into b.body.
-func (b *wireBuf) readBody(w http.ResponseWriter, r *http.Request, limit int64) error {
-	if n := r.ContentLength; n > 0 && n <= limit {
-		b.body.Grow(int(n) + bytes.MinRead) // ReadFrom wants MinRead spare to see EOF
-	}
-	_, err := b.body.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
-	return err
-}
-
 // handleRegistry lists resident generations and the active one.
 func (s *Server) handleRegistry(w http.ResponseWriter, r *http.Request) {
 	var activeID uint64
@@ -560,7 +473,7 @@ func (s *Server) handleRegistry(w http.ResponseWriter, r *http.Request) {
 		activeID = g.ID()
 	}
 	gens := s.reg.Snapshot()
-	writeJSON(w, http.StatusOK, map[string]any{
+	obs.WriteJSON(w, http.StatusOK, map[string]any{
 		"active_generation": activeID,
 		"count":             len(gens),
 		"generations":       gens,
@@ -579,26 +492,26 @@ type registryLoadRequest struct {
 // bundle yields a 422 and leaves the active generation untouched.
 func (s *Server) handleRegistryLoad(w http.ResponseWriter, r *http.Request) {
 	var req registryLoadRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	if err := obs.DecodeJSON(w, r, 1<<20, &req); err != nil {
+		obs.WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
 	if req.Path == "" {
-		writeError(w, http.StatusBadRequest, "missing \"path\"")
+		obs.WriteError(w, http.StatusBadRequest, "missing \"path\"")
 		return
 	}
 	g, err := s.reg.Load(req.Path)
 	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, err.Error())
+		obs.WriteError(w, http.StatusUnprocessableEntity, err.Error())
 		return
 	}
 	if req.Promote {
 		if _, err := s.reg.Promote(g.ID()); err != nil {
-			writeError(w, http.StatusConflict, err.Error())
+			obs.WriteError(w, http.StatusConflict, err.Error())
 			return
 		}
 	}
-	writeJSON(w, http.StatusOK, s.reg.InfoFor(g))
+	obs.WriteJSON(w, http.StatusOK, s.reg.InfoFor(g))
 }
 
 // registryPromoteRequest is the POST /v1/registry/promote body. Id 0 (or an
@@ -609,55 +522,53 @@ type registryPromoteRequest struct {
 
 func (s *Server) handleRegistryPromote(w http.ResponseWriter, r *http.Request) {
 	var req registryPromoteRequest
-	if r.ContentLength != 0 {
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-			return
-		}
+	if err := obs.DecodeJSON(w, r, 1<<16, &req); err != nil {
+		obs.WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		return
 	}
 	id := req.ID
 	if id == 0 {
 		g := s.reg.LatestStaged()
 		if g == nil {
-			writeError(w, http.StatusConflict, "no staged generation to promote (load one first, or pass an explicit id)")
+			obs.WriteError(w, http.StatusConflict, "no staged generation to promote (load one first, or pass an explicit id)")
 			return
 		}
 		id = g.ID()
 	}
 	g, err := s.reg.Promote(id)
 	if err != nil {
-		writeError(w, http.StatusNotFound, err.Error())
+		obs.WriteError(w, http.StatusNotFound, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, s.reg.InfoFor(g))
+	obs.WriteJSON(w, http.StatusOK, s.reg.InfoFor(g))
 }
 
 func (s *Server) handleRegistryRollback(w http.ResponseWriter, r *http.Request) {
 	g, err := s.reg.Rollback()
 	if err != nil {
-		writeError(w, http.StatusConflict, err.Error())
+		obs.WriteError(w, http.StatusConflict, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, s.reg.InfoFor(g))
+	obs.WriteJSON(w, http.StatusOK, s.reg.InfoFor(g))
 }
 
 // handleShadow serves the shadow-evaluation evidence for the staged (or
 // most recently staged) candidate generation.
 func (s *Server) handleShadow(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.shadow.Report())
+	obs.WriteJSON(w, http.StatusOK, s.shadow.Report())
 }
 
 // handleDrift serves per-feature PSI scores of live traffic against the
 // active bundle's embedded training distribution.
 func (s *Server) handleDrift(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.health.DriftReport())
+	obs.WriteJSON(w, http.StatusOK, s.health.DriftReport())
 }
 
 // handleScorecards serves the per-generation model scorecards, newest
 // first (the active generation leads).
 func (s *Server) handleScorecards(w http.ResponseWriter, r *http.Request) {
 	cards := s.health.Scorecards()
-	writeJSON(w, http.StatusOK, map[string]any{
+	obs.WriteJSON(w, http.StatusOK, map[string]any{
 		"count":      len(cards),
 		"scorecards": cards,
 	})
@@ -668,7 +579,7 @@ func (s *Server) handleScorecards(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleFlightRecorder(w http.ResponseWriter, r *http.Request) {
 	fr := s.health.Flight()
 	records := fr.Dump()
-	writeJSON(w, http.StatusOK, map[string]any{
+	obs.WriteJSON(w, http.StatusOK, map[string]any{
 		"capacity":  fr.Capacity(),
 		"occupancy": fr.Occupancy(),
 		"count":     len(records),
@@ -702,18 +613,18 @@ type feedbackResponse struct {
 // feedback store: parse the envelope strictly, then run every record
 // through validation, the oracle plausibility guard, and dedup.
 func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
-	body, err := readAll(w, r, 8<<20)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	var body bytes.Buffer
+	if err := obs.ReadBody(&body, w, r, 8<<20); err != nil {
+		obs.WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
-	records, err := feedback.ParseRequest(body)
+	records, err := feedback.ParseRequest(body.Bytes())
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		obs.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if len(records) > MaxFeedbackRecords {
-		writeError(w, http.StatusBadRequest,
+		obs.WriteError(w, http.StatusBadRequest,
 			fmt.Sprintf("batch of %d records exceeds the limit of %d", len(records), MaxFeedbackRecords))
 		return
 	}
@@ -736,36 +647,11 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 			resp.Invalid++
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	obs.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleRetrain serves the retrain controller's state machine, feedback
 // snapshot, and verdict history (newest first).
 func (s *Server) handleRetrain(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.retrain.Report())
-}
-
-// readAll drains a size-capped request body.
-func readAll(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
-	return io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
-}
-
-// writeJSON renders v as one line of compact JSON.
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
-}
-
-// writeBody sends an already-encoded JSON document in one Write.
-func writeBody(w http.ResponseWriter, code int, body []byte) {
-	h := w.Header()
-	h.Set("Content-Type", "application/json")
-	h.Set("Content-Length", strconv.Itoa(len(body)))
-	w.WriteHeader(code)
-	w.Write(body)
-}
-
-func writeError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]string{"error": msg})
+	obs.WriteJSON(w, http.StatusOK, s.retrain.Report())
 }

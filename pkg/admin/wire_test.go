@@ -196,13 +196,14 @@ func TestAccessLogOnlyAtDebugAndCountersAlways(t *testing.T) {
 	if r := recs[1]; r["path"] != "/v1/select" || r["code"] != float64(400) {
 		t.Errorf("access record for the rejected select = %v", r)
 	}
-	if got := srv.httpRequests.Value("/healthz", "200"); got != 2 {
+	requests := o.Registry.Counter("pmlmpi_http_requests_total", "", "path", "code")
+	if got := requests.Value("/healthz", "200"); got != 2 {
 		t.Errorf(`pmlmpi_http_requests_total{path="/healthz",code="200"} = %v, want 2`, got)
 	}
-	if got := srv.httpRequests.Value("/v1/select", "400"); got != 1 {
+	if got := requests.Value("/v1/select", "400"); got != 1 {
 		t.Errorf(`pmlmpi_http_requests_total{path="/v1/select",code="400"} = %v, want 1`, got)
 	}
-	if got := srv.httpLatency.Count("/healthz"); got != 2 {
+	if got := o.Registry.Histogram("pmlmpi_http_request_duration_seconds", "", nil, "path").Count("/healthz"); got != 2 {
 		t.Errorf("request-duration observations for /healthz = %d, want 2", got)
 	}
 }

@@ -1,9 +1,8 @@
 package controlplane
 
 import (
-	"encoding/json"
+	"bytes"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -33,11 +32,9 @@ type Server struct {
 	rollout *Rollout
 	o       *obs.Obs
 	started time.Time
-	mux     *http.ServeMux
+	mux     *obs.Mux
 	poll    time.Duration
 
-	httpRequests *obs.Counter
-	httpLatency  *obs.Histogram
 	heartbeats   *obs.Counter
 	notModified  *obs.Counter
 	bundleBytes  *obs.Counter
@@ -62,12 +59,8 @@ func NewServer(store *Store, rollout *Rollout, o *obs.Obs, cfg ServerConfig) *Se
 		rollout: rollout,
 		o:       o,
 		started: time.Now(),
-		mux:     http.NewServeMux(),
+		mux:     obs.NewMux(o, "pmlmpi_ctl"),
 		poll:    cfg.PollInterval,
-		httpRequests: o.Registry.Counter("pmlmpi_ctl_http_requests_total",
-			"Control-plane HTTP requests served, by path and status code.", "path", "code"),
-		httpLatency: o.Registry.Histogram("pmlmpi_ctl_http_request_duration_seconds",
-			"Control-plane HTTP request handling latency.", obs.LatencyBuckets, "path"),
 		heartbeats: o.Registry.Counter("pmlmpi_ctl_heartbeats_total",
 			"Replica heartbeats ingested, by replica id.", "replica"),
 		notModified: o.Registry.Counter("pmlmpi_ctl_not_modified_total",
@@ -80,49 +73,24 @@ func NewServer(store *Store, rollout *Rollout, o *obs.Obs, cfg ServerConfig) *Se
 			"Rollout state as a one-hot gauge.", "state"),
 	}
 	buildinfo.Register(o.Registry)
-	s.route("/v1/bundles/", http.MethodGet, "GET /v1/bundles/{hash} returns the stored bundle bytes", s.handleBundleGet)
-	s.route("/v1/bundles", http.MethodPost, "POST raw bundle bytes (JSON or PMLB) to store them content-addressed", s.handleBundlePut)
-	s.route("/v1/manifest", http.MethodGet, "GET returns the desired generation for ?ring= / ?replica=", s.handleManifest)
-	s.route("/v1/heartbeat", http.MethodPost, "POST a JSON heartbeat: {\"replica_id\": ..., \"active_hash\": ..., ...}", s.handleHeartbeat)
-	s.route("/v1/rollout/start", http.MethodPost, "POST a JSON body: {\"hash\": \"...\"} starts a canary rollout", s.handleRolloutStart)
-	s.route("/v1/rollout/promote", http.MethodPost, "POST with an empty body force-advances the rollout", s.handleRolloutPromote)
-	s.route("/v1/rollout/rollback", http.MethodPost, "POST with an empty body withdraws the candidate", s.handleRolloutRollback)
-	s.route("/debug/rollout", http.MethodGet, "GET returns the rollout controller snapshot", s.handleRolloutDebug)
-	s.route("/healthz", http.MethodGet, "GET returns control-plane health", s.handleHealthz)
-	s.route("/metrics", http.MethodGet, "GET returns Prometheus text metrics", s.handleMetrics)
+	s.mux.Route("/v1/bundles/", http.MethodGet, "GET /v1/bundles/{hash} returns the stored bundle bytes", s.handleBundleGet)
+	s.mux.Route("/v1/bundles", http.MethodPost, "POST raw bundle bytes (JSON or PMLB) to store them content-addressed", s.handleBundlePut)
+	s.mux.Route("/v1/manifest", http.MethodGet, "GET returns the desired generation for ?ring= / ?replica=", s.handleManifest)
+	s.mux.Route("/v1/heartbeat", http.MethodPost, "POST a JSON heartbeat: {\"replica_id\": ..., \"active_hash\": ..., ...}", s.handleHeartbeat)
+	s.mux.Route("/v1/rollout/start", http.MethodPost, "POST a JSON body: {\"hash\": \"...\"} starts a canary rollout", s.handleRolloutStart)
+	s.mux.Route("/v1/rollout/promote", http.MethodPost, "POST with an empty body force-advances the rollout", s.handleRolloutPromote)
+	s.mux.Route("/v1/rollout/rollback", http.MethodPost, "POST with an empty body withdraws the candidate", s.handleRolloutRollback)
+	s.mux.Route("/debug/rollout", http.MethodGet, "GET returns the rollout controller snapshot", s.handleRolloutDebug)
+	s.mux.Route("/healthz", http.MethodGet, "GET returns control-plane health", s.handleHealthz)
+	s.mux.Route("/metrics", http.MethodGet, "GET returns Prometheus text metrics", s.handleMetrics)
 	return s
 }
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// route registers one method-enforced, instrumented endpoint (same
-// contract as pkg/admin: other methods get 405 + Allow + usage hint, HEAD
-// rides along with GET).
-func (s *Server) route(path, method, usage string, h http.HandlerFunc) {
-	s.mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
-		sr := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
-		start := time.Now()
-		if r.Method != method && !(method == http.MethodGet && r.Method == http.MethodHead) {
-			w.Header().Set("Allow", method)
-			writeError(sr, http.StatusMethodNotAllowed, usage)
-		} else {
-			h(sr, r)
-		}
-		s.httpRequests.Inc(path, strconv.Itoa(sr.code))
-		s.httpLatency.Observe(time.Since(start).Seconds(), path)
-	})
-}
-
-type statusRecorder struct {
-	http.ResponseWriter
-	code int
-}
-
-func (sr *statusRecorder) WriteHeader(code int) {
-	sr.code = code
-	sr.ResponseWriter.WriteHeader(code)
-}
+// Routes returns every registered endpoint with its accepted method.
+func (s *Server) Routes() []obs.Route { return s.mux.Routes() }
 
 // etagMatch reports whether an If-None-Match header matches etag
 // (strong comparison; "*" matches anything).
@@ -148,7 +116,7 @@ func etagMatch(r *http.Request, etag string) bool {
 func (s *Server) handleBundleGet(w http.ResponseWriter, r *http.Request) {
 	hash := strings.TrimPrefix(r.URL.Path, "/v1/bundles/")
 	if !ValidHash(hash) {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad bundle hash %q: want 64 hex chars", hash))
+		obs.WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad bundle hash %q: want 64 hex chars", hash))
 		return
 	}
 	etag := `"` + hash + `"`
@@ -160,7 +128,7 @@ func (s *Server) handleBundleGet(w http.ResponseWriter, r *http.Request) {
 	}
 	data, ok := s.store.Get(hash)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Sprintf("no bundle %s in store", short(hash)))
+		obs.WriteError(w, http.StatusNotFound, fmt.Sprintf("no bundle %s in store", short(hash)))
 		return
 	}
 	w.Header().Set("ETag", etag)
@@ -177,29 +145,30 @@ func (s *Server) handleBundleGet(w http.ResponseWriter, r *http.Request) {
 // seeds it as the fleet-wide stable hash (first boot / bootstrap);
 // ?rollout=true starts a staged rollout of it in the same call.
 func (s *Server) handleBundlePut(w http.ResponseWriter, r *http.Request) {
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 64<<20))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	var body bytes.Buffer
+	if err := obs.ReadBody(&body, w, r, 64<<20); err != nil {
+		obs.WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
+	data := body.Bytes()
 	hash, existed, err := s.store.Put(data)
 	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, err.Error())
+		obs.WriteError(w, http.StatusUnprocessableEntity, err.Error())
 		return
 	}
 	if r.URL.Query().Get("stable") == "true" {
 		if err := s.rollout.SetStable(hash); err != nil {
-			writeError(w, http.StatusConflict, err.Error())
+			obs.WriteError(w, http.StatusConflict, err.Error())
 			return
 		}
 	}
 	if r.URL.Query().Get("rollout") == "true" {
 		if err := s.rollout.Start(hash); err != nil {
-			writeError(w, http.StatusConflict, err.Error())
+			obs.WriteError(w, http.StatusConflict, err.Error())
 			return
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	obs.WriteJSON(w, http.StatusOK, map[string]any{
 		"hash":       hash,
 		"existed":    existed,
 		"generation": s.store.Seq(hash),
@@ -226,22 +195,22 @@ func (s *Server) handleManifest(w http.ResponseWriter, r *http.Request) {
 		s.notModified.Inc("/v1/manifest")
 		return
 	}
-	writeJSON(w, http.StatusOK, m)
+	obs.WriteJSON(w, http.StatusOK, m)
 }
 
 func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var hb Heartbeat
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&hb); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	if err := obs.DecodeJSON(w, r, 1<<20, &hb); err != nil {
+		obs.WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
 	if hb.ReplicaID == "" {
-		writeError(w, http.StatusBadRequest, "missing \"replica_id\"")
+		obs.WriteError(w, http.StatusBadRequest, "missing \"replica_id\"")
 		return
 	}
 	ring, state := s.rollout.Observe(hb)
 	s.heartbeats.Inc(hb.ReplicaID)
-	writeJSON(w, http.StatusOK, HeartbeatAck{Ring: ring, RolloutState: state})
+	obs.WriteJSON(w, http.StatusOK, HeartbeatAck{Ring: ring, RolloutState: state})
 }
 
 // rolloutStartRequest is the POST /v1/rollout/start body.
@@ -251,39 +220,39 @@ type rolloutStartRequest struct {
 
 func (s *Server) handleRolloutStart(w http.ResponseWriter, r *http.Request) {
 	var req rolloutStartRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	if err := obs.DecodeJSON(w, r, 1<<16, &req); err != nil {
+		obs.WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
 	if !ValidHash(req.Hash) {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad \"hash\" %q: want 64 hex chars", req.Hash))
+		obs.WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad \"hash\" %q: want 64 hex chars", req.Hash))
 		return
 	}
 	if err := s.rollout.Start(req.Hash); err != nil {
-		writeError(w, http.StatusConflict, err.Error())
+		obs.WriteError(w, http.StatusConflict, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, s.rollout.Snapshot())
+	obs.WriteJSON(w, http.StatusOK, s.rollout.Snapshot())
 }
 
 func (s *Server) handleRolloutPromote(w http.ResponseWriter, r *http.Request) {
 	if err := s.rollout.Promote(); err != nil {
-		writeError(w, http.StatusConflict, err.Error())
+		obs.WriteError(w, http.StatusConflict, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, s.rollout.Snapshot())
+	obs.WriteJSON(w, http.StatusOK, s.rollout.Snapshot())
 }
 
 func (s *Server) handleRolloutRollback(w http.ResponseWriter, r *http.Request) {
 	if err := s.rollout.Rollback("operator requested rollback"); err != nil {
-		writeError(w, http.StatusConflict, err.Error())
+		obs.WriteError(w, http.StatusConflict, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, s.rollout.Snapshot())
+	obs.WriteJSON(w, http.StatusOK, s.rollout.Snapshot())
 }
 
 func (s *Server) handleRolloutDebug(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.rollout.Snapshot())
+	obs.WriteJSON(w, http.StatusOK, s.rollout.Snapshot())
 }
 
 // ctlHealth is the control plane's /healthz body. Role and Desired mirror
@@ -323,7 +292,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	h.Desired.Generation = m.DesiredGeneration
 	h.Desired.Ring = m.Ring
 	h.Desired.State = m.RolloutState
-	writeJSON(w, http.StatusOK, h)
+	obs.WriteJSON(w, http.StatusOK, h)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -336,16 +305,5 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 		s.stateGauge.Set(v, st)
 	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.o.Registry.WritePrometheus(w)
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]string{"error": msg})
+	s.o.Registry.ServeHTTP(w, r)
 }

@@ -87,10 +87,12 @@ func newCannedGateway(t testing.TB, items int) *Gateway {
 	return g
 }
 
-// maxAllocsPerGatewayBatchItem is the measured count (17.2 per item: 276
+// maxAllocsPerGatewayBatchItem is the measured count (17.8 per item: 285
 // per call, of which two proxied HTTP exchanges and their canned handlers
-// are about 190, decoding sixteen 14-feature items into maps 74, and the
-// split and merge themselves next to nothing) plus a little headroom. The
+// are about 190, decoding sixteen 14-feature items into maps 74, the
+// request edge (status recorder, minted request ID and its context) a
+// handful, and the split and merge themselves next to nothing) plus a
+// little headroom. The
 // reflective split and merge this path replaced read 58.3 (933 per call) on
 // the same test: any of it creeping back lands far above the budget.
 const maxAllocsPerGatewayBatchItem = 20

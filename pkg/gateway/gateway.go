@@ -130,14 +130,12 @@ type replica struct {
 
 // Gateway is the fleet front door; it implements http.Handler.
 type Gateway struct {
-	o        *obs.Obs
 	cfg      Config
 	client   *http.Client
 	replicas []*replica // fixed config order
 	started  time.Time
-	mux      *http.ServeMux
+	mux      *obs.Mux
 
-	httpRequests *obs.Counter
 	proxied      *obs.Counter
 	proxyLatency *obs.Histogram
 	retries      *obs.Counter
@@ -166,13 +164,10 @@ func New(o *obs.Obs, cfg Config) (*Gateway, error) {
 		client = NewProxyClient(10 * time.Second)
 	}
 	g := &Gateway{
-		o:       o,
 		cfg:     cfg,
 		client:  client,
 		started: time.Now(),
-		mux:     http.NewServeMux(),
-		httpRequests: o.Registry.Counter("pmlmpi_gw_http_requests_total",
-			"Gateway HTTP requests served, by path and status code.", "path", "code"),
+		mux:     obs.NewMux(o, "pmlmpi_gw"),
 		proxied: o.Registry.Counter("pmlmpi_gw_proxy_requests_total",
 			"Proxy attempts, by replica and outcome code (HTTP status, \"error\", or \"canceled\" when the caller went away).", "replica", "code"),
 		proxyLatency: o.Registry.Histogram("pmlmpi_gw_proxy_duration_seconds",
@@ -214,11 +209,11 @@ func New(o *obs.Obs, cfg Config) (*Gateway, error) {
 		g.replicas = append(g.replicas, rp)
 	}
 	buildinfo.Register(o.Registry)
-	g.route("/v1/select", http.MethodPost, "POST a JSON body: {\"collective\": ..., \"features\": {...}}", g.handleSelect)
-	g.route("/v1/select/batch", http.MethodPost, "POST a JSON body: {\"requests\": [...]}", g.handleSelectBatch)
-	g.route("/debug/replicas", http.MethodGet, "GET returns per-replica routing and health state", g.handleReplicas)
-	g.route("/healthz", http.MethodGet, "GET returns gateway health", g.handleHealthz)
-	g.route("/metrics", http.MethodGet, "GET returns Prometheus text metrics", g.handleMetrics)
+	g.mux.Route("/v1/select", http.MethodPost, "POST a JSON body: {\"collective\": ..., \"features\": {...}}", g.handleSelect)
+	g.mux.Route("/v1/select/batch", http.MethodPost, "POST a JSON body: {\"requests\": [...]}", g.handleSelectBatch)
+	g.mux.Route("/debug/replicas", http.MethodGet, "GET returns per-replica routing and health state", g.handleReplicas)
+	g.mux.Route("/healthz", http.MethodGet, "GET returns gateway health", g.handleHealthz)
+	g.mux.Route("/metrics", http.MethodGet, "GET returns Prometheus text metrics", o.Registry.ServeHTTP)
 	return g, nil
 }
 
@@ -233,6 +228,9 @@ func replicaSeed(id string) uint64 {
 
 // ServeHTTP implements http.Handler.
 func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) { g.mux.ServeHTTP(w, r) }
+
+// Routes returns every registered endpoint with its accepted method.
+func (g *Gateway) Routes() []obs.Route { return g.mux.Routes() }
 
 // Run drives the active health prober until ctx is canceled.
 func (g *Gateway) Run(ctx context.Context) {
@@ -517,30 +515,21 @@ func (sc *scratch) subBatch(queue []pendingItem, rp *replica, raw [][]byte) (mem
 	return members, body
 }
 
-// readBody drains the size-capped request body into sc.body.
-func (sc *scratch) readBody(w http.ResponseWriter, r *http.Request, limit int64) error {
-	if n := r.ContentLength; n > 0 && n <= limit {
-		sc.body.Grow(int(n) + bytes.MinRead)
-	}
-	_, err := sc.body.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
-	return err
-}
-
 func (g *Gateway) handleSelect(w http.ResponseWriter, r *http.Request) {
 	sc := getScratch()
 	defer putScratch(sc)
-	if err := sc.readBody(w, r, 1<<20); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	if err := obs.ReadBody(&sc.body, w, r, 1<<20); err != nil {
+		obs.WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
 	body := sc.body.Bytes()
 	req, err := selector.DecodeSelect(body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		obs.WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
 	if req.Collective == "" {
-		writeError(w, http.StatusBadRequest, "missing \"collective\"")
+		obs.WriteError(w, http.StatusBadRequest, "missing \"collective\"")
 		return
 	}
 	key := selector.PartitionKey(req.Collective, req.Features, g.cfg.Quantum)
@@ -554,18 +543,16 @@ func (g *Gateway) handleSelect(w http.ResponseWriter, r *http.Request) {
 			} else {
 				rp.count(true, "", 0)
 			}
-			w.Header().Set("Content-Type", "application/json")
 			w.Header().Set("X-Pmlmpi-Replica", rp.id)
-			w.WriteHeader(status)
-			w.Write(sc.replies.Bytes())
+			obs.WriteBody(w, status, sc.replies.Bytes())
 			return
 		}
 		if r.Context().Err() != nil {
-			writeError(w, statusClientClosedRequest, "client closed request: "+err.Error())
+			obs.WriteError(w, statusClientClosedRequest, "client closed request: "+err.Error())
 			return
 		}
 		if attempt >= g.cfg.MaxAttempts {
-			writeError(w, http.StatusBadGateway, "no replica could answer: "+err.Error())
+			obs.WriteError(w, http.StatusBadGateway, "no replica could answer: "+err.Error())
 			return
 		}
 		if order == nil {
@@ -598,23 +585,23 @@ type pendingItem struct {
 func (g *Gateway) handleSelectBatch(w http.ResponseWriter, r *http.Request) {
 	sc := getScratch()
 	defer putScratch(sc)
-	if err := sc.readBody(w, r, 8<<20); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	if err := obs.ReadBody(&sc.body, w, r, 8<<20); err != nil {
+		obs.WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
 	// The same decoder as the replicas, so both tiers accept and reject
 	// exactly the same bodies.
 	reqs, raw, err := selector.DecodeBatchRaw(sc.body.Bytes())
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		obs.WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
 	if len(reqs) == 0 {
-		writeError(w, http.StatusBadRequest, "empty batch: \"requests\" must have at least one item")
+		obs.WriteError(w, http.StatusBadRequest, "empty batch: \"requests\" must have at least one item")
 		return
 	}
 	if len(reqs) > MaxBatchItems {
-		writeError(w, http.StatusBadRequest,
+		obs.WriteError(w, http.StatusBadRequest,
 			fmt.Sprintf("batch of %d items exceeds the limit of %d", len(reqs), MaxBatchItems))
 		return
 	}
@@ -637,7 +624,7 @@ func (g *Gateway) handleSelectBatch(w http.ResponseWriter, r *http.Request) {
 			status, err := g.tryReplica(r.Context(), rp, rp.batchReq, sub, &sc.replies)
 			switch {
 			case err != nil && r.Context().Err() != nil:
-				writeError(w, statusClientClosedRequest, "client closed request: "+err.Error())
+				obs.WriteError(w, statusClientClosedRequest, "client closed request: "+err.Error())
 				return
 			case err != nil:
 			case status != http.StatusOK:
@@ -688,7 +675,7 @@ func (g *Gateway) handleSelectBatch(w http.ResponseWriter, r *http.Request) {
 	sc.queue, sc.requeue = queue, requeue
 
 	sc.out = appendBatchReply(sc.out[:0], results, sc.replies.Bytes())
-	writeBody(w, http.StatusOK, sc.out)
+	obs.WriteBody(w, http.StatusOK, sc.out)
 }
 
 // ReplicaInfo is one row of /debug/replicas.
@@ -733,7 +720,7 @@ func (g *Gateway) Snapshot() []ReplicaInfo {
 
 func (g *Gateway) handleReplicas(w http.ResponseWriter, r *http.Request) {
 	rows := g.Snapshot()
-	writeJSON(w, http.StatusOK, map[string]any{
+	obs.WriteJSON(w, http.StatusOK, map[string]any{
 		"count":    len(rows),
 		"replicas": rows,
 	})
@@ -778,7 +765,7 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			h.Desired = m
 		}
 	}
-	writeJSON(w, code, h)
+	obs.WriteJSON(w, code, h)
 }
 
 // fetchManifest asks the control plane for the fleet-ring manifest; nil
@@ -804,59 +791,4 @@ func (g *Gateway) fetchManifest(ctx context.Context) any {
 		return nil
 	}
 	return m
-}
-
-func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	g.o.Registry.WritePrometheus(w)
-}
-
-// route registers one method-enforced, instrumented endpoint (same
-// contract as pkg/admin and pkg/controlplane).
-func (g *Gateway) route(path, method, usage string, h http.HandlerFunc) {
-	ok200 := g.httpRequests.Bind(path, "200") // the series a healthy route hits on every request
-	g.mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
-		sr := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
-		if r.Method != method && !(method == http.MethodGet && r.Method == http.MethodHead) {
-			w.Header().Set("Allow", method)
-			writeError(sr, http.StatusMethodNotAllowed, usage)
-		} else {
-			h(sr, r)
-		}
-		if sr.code == http.StatusOK {
-			ok200.Inc()
-		} else {
-			g.httpRequests.Inc(path, strconv.Itoa(sr.code))
-		}
-	})
-}
-
-type statusRecorder struct {
-	http.ResponseWriter
-	code int
-}
-
-func (sr *statusRecorder) WriteHeader(code int) {
-	sr.code = code
-	sr.ResponseWriter.WriteHeader(code)
-}
-
-// writeJSON renders v as one line of compact JSON.
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
-}
-
-// writeBody sends an already-encoded JSON document in one Write.
-func writeBody(w http.ResponseWriter, code int, body []byte) {
-	h := w.Header()
-	h.Set("Content-Type", "application/json")
-	h.Set("Content-Length", strconv.Itoa(len(body)))
-	w.WriteHeader(code)
-	w.Write(body)
-}
-
-func writeError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]string{"error": msg})
 }

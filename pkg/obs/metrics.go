@@ -1,7 +1,8 @@
 // Package obs is the observability core for PML-MPI: a dependency-free
 // metrics registry with Prometheus text exposition, the one estimator that
 // turns bucket counts into quantiles and fractions (BucketSnapshot),
-// structured JSON logging, and lightweight tracing spans. Every subsystem
+// structured JSON logging, lightweight tracing spans, and the HTTP request
+// edge every tier serves through (Mux, Serve). Every subsystem
 // (bundle loading, forest inference, selection) reports through this
 // package so that the admin surface can expose a single consistent view.
 package obs
