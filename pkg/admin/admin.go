@@ -18,7 +18,6 @@ import (
 
 	"github.com/pml-mpi/pmlmpi/pkg/buildinfo"
 	"github.com/pml-mpi/pmlmpi/pkg/feedback"
-	"github.com/pml-mpi/pmlmpi/pkg/jsonappend"
 	"github.com/pml-mpi/pmlmpi/pkg/modelhealth"
 	"github.com/pml-mpi/pmlmpi/pkg/obs"
 	"github.com/pml-mpi/pmlmpi/pkg/registry"
@@ -342,17 +341,9 @@ func (s *Server) handleAnalytics(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	buf := getWireBuf()
 	defer putWireBuf(buf)
-	if err := obs.ReadBody(&buf.body, w, r, 1<<20); err != nil {
-		obs.WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return
-	}
-	req, err := selector.DecodeSelect(buf.body.Bytes())
+	req, err := selector.ParseSelect(&buf.body, w, r)
 	if err != nil {
-		obs.WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return
-	}
-	if req.Collective == "" {
-		obs.WriteError(w, http.StatusBadRequest, "missing \"collective\"")
+		obs.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	// The map was decoded for this call alone, so the decision may keep it.
@@ -369,9 +360,6 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	obs.WriteBody(w, http.StatusOK, buf.out)
 }
 
-// MaxBatchItems bounds one /v1/select/batch request.
-const MaxBatchItems = 1024
-
 // handleSelectBatch answers {"requests": [...]} with {"count", "errors",
 // "results"}. The results array is positional: results[i] answers
 // requests[i] with either {"decision": ...} or {"error": ...}. Item
@@ -380,67 +368,17 @@ const MaxBatchItems = 1024
 func (s *Server) handleSelectBatch(w http.ResponseWriter, r *http.Request) {
 	buf := getWireBuf()
 	defer putWireBuf(buf)
-	if err := obs.ReadBody(&buf.body, w, r, 8<<20); err != nil {
-		obs.WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return
-	}
-	reqs, err := selector.DecodeBatch(buf.body.Bytes())
+	reqs, err := selector.ParseBatch(&buf.body, w, r)
 	if err != nil {
-		obs.WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return
-	}
-	if len(reqs) == 0 {
-		obs.WriteError(w, http.StatusBadRequest, "empty batch: \"requests\" must have at least one item")
-		return
-	}
-	if len(reqs) > MaxBatchItems {
-		obs.WriteError(w, http.StatusBadRequest,
-			fmt.Sprintf("batch of %d items exceeds the limit of %d", len(reqs), MaxBatchItems))
+		obs.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	results := s.sel.SelectBatchOwned(r.Context(), reqs)
-	if buf.out, err = appendBatchResponse(buf.out[:0], results); err != nil {
+	if buf.out, err = selector.AppendBatchReply(buf.out[:0], results); err != nil {
 		obs.WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	obs.WriteBody(w, http.StatusOK, buf.out)
-}
-
-// appendBatchResponse renders the /v1/select/batch reply, newline included,
-// as json.Encoder would render the equivalent struct.
-func appendBatchResponse(b []byte, results []selector.BatchResult) ([]byte, error) {
-	errs := 0
-	for _, res := range results {
-		if res.Err != nil {
-			errs++
-		}
-	}
-	b = append(b, `{"count":`...)
-	b = strconv.AppendInt(b, int64(len(results)), 10)
-	b = append(b, `,"errors":`...)
-	b = strconv.AppendInt(b, int64(errs), 10)
-	b = append(b, `,"results":[`...)
-	for i, res := range results {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		// Either field is omitted when empty, as omitempty did.
-		b = append(b, '{')
-		if res.Err != nil {
-			if msg := res.Err.Error(); msg != "" {
-				b = append(b, `"error":`...)
-				b = jsonappend.String(b, msg)
-			}
-		} else if res.Decision != nil {
-			b = append(b, `"decision":`...)
-			var err error
-			if b, err = selector.AppendDecision(b, res.Decision); err != nil {
-				return b, err
-			}
-		}
-		b = append(b, '}')
-	}
-	return append(b, "]}\n"...), nil
 }
 
 // wireBuf is the per-request scratch of the select endpoints: the request

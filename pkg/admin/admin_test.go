@@ -252,7 +252,7 @@ func TestSelectEndpointsRejectNonPOSTWithAllowHeader(t *testing.T) {
 func TestSelectBatchErrorPaths(t *testing.T) {
 	goodItem := `{"collective":"alltoall","features":{"log2_msg_size":22,"ppn":48,"num_nodes":32,"mem_bw_gbs":204.8,"thread_count":96}}`
 	oversized := `{"requests":[` + goodItem
-	for i := 0; i < MaxBatchItems; i++ {
+	for i := 0; i < selector.MaxBatchItems; i++ {
 		oversized += "," + goodItem
 	}
 	oversized += `]}`
@@ -287,7 +287,7 @@ func TestSelectBatchErrorPaths(t *testing.T) {
 			name:       "oversized batch",
 			body:       oversized,
 			wantCode:   http.StatusBadRequest,
-			wantErrSub: fmt.Sprintf("limit of %d", MaxBatchItems),
+			wantErrSub: fmt.Sprintf("limit of %d", selector.MaxBatchItems),
 		},
 		{
 			name:      "unknown collective reported per item",
@@ -370,8 +370,8 @@ func TestMetricsExposeCacheAndBatchInstruments(t *testing.T) {
 	srv := New(sel, o, Config{})
 
 	item := `{"collective":"alltoall","features":{"log2_msg_size":22,"ppn":48,"num_nodes":32,"mem_bw_gbs":204.8,"thread_count":96}}`
-	post(t, srv, "/v1/select", item)                             // miss
-	post(t, srv, "/v1/select", item)                             // hit
+	post(t, srv, "/v1/select", item)                            // miss
+	post(t, srv, "/v1/select", item)                            // hit
 	post(t, srv, "/v1/select/batch", `{"requests":[`+item+`]}`) // hit via batch
 
 	body := get(t, srv, "/metrics").Body.String()

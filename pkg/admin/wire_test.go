@@ -87,7 +87,7 @@ func TestBatchReplyEqualsCompactedReflectiveReply(t *testing.T) {
 			t.Fatal(err)
 		}
 		want.WriteByte('\n')
-		got, err := appendBatchResponse(nil, results)
+		got, err := selector.AppendBatchReply(nil, results)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -107,9 +107,9 @@ func TestMetricsExposition(t *testing.T) {
 	c, reg := newTestCache(Config{Shards: 1, MaxEntries: 2})
 	c.Put("a", 1)
 	c.Put("b", 2)
-	c.Get("a")      // hit
-	c.Get("nope")   // miss
-	c.Put("c", 3)   // LRU-evicts b
+	c.Get("a")    // hit
+	c.Get("nope") // miss
+	c.Put("c", 3) // LRU-evicts b
 
 	var b strings.Builder
 	reg.WritePrometheus(&b)

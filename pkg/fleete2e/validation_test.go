@@ -10,6 +10,7 @@ import (
 
 	"github.com/pml-mpi/pmlmpi/pkg/gateway"
 	"github.com/pml-mpi/pmlmpi/pkg/obs"
+	"github.com/pml-mpi/pmlmpi/pkg/selector"
 	"github.com/pml-mpi/pmlmpi/pkg/synth"
 )
 
@@ -87,6 +88,10 @@ func TestTiersAcceptAndRejectTheSameBodies(t *testing.T) {
 		{"odd item among canonical ones", `{"requests":[` + item + `,{"collective":"broadcast","features":` + string(feats) + `,"x":null},` + item + `,{"collective":"scan","features":{}}]}`, 400, 200},
 		{"envelope key twice", `{"requests":[` + item + `,` + item + `],"requests":[{"features":` + string(feats) + `}]}`, 400, 200},
 		{"envelope key twice, then null", `{"requests":[` + item + `],"requests":null}`, 400, 400},
+		// The request limits: both tiers read them from one definition.
+		{"single body over its limit", `{"collective":"allgather",` + strings.Repeat(" ", selector.MaxSelectBody) + `"features":` + string(feats) + `}`, 400, 400},
+		{"batch body over its limit", `{"requests":[` + strings.Repeat(" ", selector.MaxBatchBody) + item + `]}`, 400, 400},
+		{"one item over the batch limit", `{"requests":[` + strings.Repeat(item+",", selector.MaxBatchItems) + item + `]}`, 400, 400},
 	}
 
 	post := func(base, path, body string) (int, string) {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/pml-mpi/pmlmpi/pkg/obs"
+	"github.com/pml-mpi/pmlmpi/pkg/selector"
 )
 
 // cannedReplica answers /v1/select/batch (and /v1/select) the way a real
@@ -152,14 +153,14 @@ func BenchmarkScanBatchReply(b *testing.B) {
 	}
 	reply, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	spans := make([]resultSpan, 0, 8)
+	spans := make([]selector.ResultSpan, 0, 8)
 	b.SetBytes(int64(len(reply)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var ok bool
-		if spans, ok = scanBatchReply(reply, 0, spans[:0]); !ok || len(spans) != 8 {
-			b.Fatalf("scanBatchReply: ok=%v, %d spans", ok, len(spans))
+		if spans, ok = selector.ScanBatchReply(reply, 0, spans[:0]); !ok || len(spans) != 8 {
+			b.Fatalf("ScanBatchReply: ok=%v, %d spans", ok, len(spans))
 		}
 	}
 }

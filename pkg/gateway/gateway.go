@@ -26,7 +26,6 @@ package gateway
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -44,9 +43,6 @@ import (
 	"github.com/pml-mpi/pmlmpi/pkg/obs"
 	"github.com/pml-mpi/pmlmpi/pkg/selector"
 )
-
-// MaxBatchItems mirrors the replica-side /v1/select/batch bound.
-const MaxBatchItems = 1024
 
 // ReplicaSpec names one backend replica.
 type ReplicaSpec struct {
@@ -285,7 +281,7 @@ func (g *Gateway) probe(ctx context.Context, rp *replica) {
 	}
 	defer resp.Body.Close()
 	var h replicaHealth
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&h); err != nil {
+	if err := obs.DecodeReply(resp.Body, 1<<20, &h); err != nil {
 		g.markDown(rp, "bad /healthz body: "+err.Error())
 		return
 	}
@@ -474,7 +470,7 @@ type scratch struct {
 	queue   []pendingItem
 	requeue []pendingItem
 	members []int
-	spans   []resultSpan
+	spans   []selector.ResultSpan
 	results []itemResult
 }
 
@@ -518,25 +514,18 @@ func (sc *scratch) subBatch(queue []pendingItem, rp *replica, raw [][]byte) (mem
 func (g *Gateway) handleSelect(w http.ResponseWriter, r *http.Request) {
 	sc := getScratch()
 	defer putScratch(sc)
-	if err := obs.ReadBody(&sc.body, w, r, 1<<20); err != nil {
-		obs.WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return
-	}
-	body := sc.body.Bytes()
-	req, err := selector.DecodeSelect(body)
+	// The same request rules as the replicas, so both tiers accept and
+	// reject exactly the same bodies.
+	req, err := selector.ParseSelect(&sc.body, w, r)
 	if err != nil {
-		obs.WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return
-	}
-	if req.Collective == "" {
-		obs.WriteError(w, http.StatusBadRequest, "missing \"collective\"")
+		obs.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	key := selector.PartitionKey(req.Collective, req.Features, g.cfg.Quantum)
 	rp := g.owner(key)
 	var order []*replica // built when the owner fails
 	for attempt := 1; ; attempt++ {
-		status, err := g.tryReplica(r.Context(), rp, rp.selectReq, body, &sc.replies)
+		status, err := g.tryReplica(r.Context(), rp, rp.selectReq, sc.body.Bytes(), &sc.replies)
 		if err == nil {
 			if status == http.StatusOK {
 				rp.count(true, req.Collective, 1)
@@ -585,24 +574,9 @@ type pendingItem struct {
 func (g *Gateway) handleSelectBatch(w http.ResponseWriter, r *http.Request) {
 	sc := getScratch()
 	defer putScratch(sc)
-	if err := obs.ReadBody(&sc.body, w, r, 8<<20); err != nil {
-		obs.WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return
-	}
-	// The same decoder as the replicas, so both tiers accept and reject
-	// exactly the same bodies.
-	reqs, raw, err := selector.DecodeBatchRaw(sc.body.Bytes())
+	reqs, raw, err := selector.ParseBatchRaw(&sc.body, w, r)
 	if err != nil {
-		obs.WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return
-	}
-	if len(reqs) == 0 {
-		obs.WriteError(w, http.StatusBadRequest, "empty batch: \"requests\" must have at least one item")
-		return
-	}
-	if len(reqs) > MaxBatchItems {
-		obs.WriteError(w, http.StatusBadRequest,
-			fmt.Sprintf("batch of %d items exceeds the limit of %d", len(reqs), MaxBatchItems))
+		obs.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 
@@ -638,14 +612,14 @@ func (g *Gateway) handleSelectBatch(w http.ResponseWriter, r *http.Request) {
 				continue
 			default:
 				var ok bool
-				sc.spans, ok = scanBatchReply(sc.replies.Bytes(), from, sc.spans[:0])
+				sc.spans, ok = selector.ScanBatchReply(sc.replies.Bytes(), from, sc.spans[:0])
 				if ok && len(sc.spans) == len(members) {
 					rp.mu.Lock()
 					rp.requests++
 					for j, qi := range members {
 						idx := queue[qi].idx
 						results[idx] = itemResult{by: rp, span: sc.spans[j]}
-						if !sc.spans[j].failed {
+						if !sc.spans[j].Failed {
 							rp.selections[reqs[idx].Collective]++
 						}
 					}
@@ -787,7 +761,7 @@ func (g *Gateway) fetchManifest(ctx context.Context) any {
 		return nil
 	}
 	var m map[string]any
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&m); err != nil {
+	if err := obs.DecodeReply(resp.Body, 1<<20, &m); err != nil {
 		return nil
 	}
 	return m

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/pml-mpi/pmlmpi/pkg/jsonappend"
+	"github.com/pml-mpi/pmlmpi/pkg/selector"
 )
 
 // The gateway's batch merge before it spliced spans, kept as the reference
@@ -50,7 +51,7 @@ func reflectiveMerge(reply []byte, id string, want int) (merged []byte, ok bool)
 
 // spliceMerge is the same call through the span scanner and the stitcher.
 func spliceMerge(reply []byte, id string, want int) (merged []byte, ok bool) {
-	spans, ok := scanBatchReply(reply, 0, nil)
+	spans, ok := selector.ScanBatchReply(reply, 0, nil)
 	if !ok || len(spans) != want {
 		return nil, false
 	}
@@ -236,6 +237,7 @@ func TestSpliceMatchesReflectiveMerge(t *testing.T) {
 	}
 	// encoding/json refuses more than 10000 open containers; so must the
 	// scanner, wherever in the reply they are.
+	const maxReplyDepth = 10000
 	for _, depth := range []int{maxReplyDepth - 1, maxReplyDepth, maxReplyDepth + 1} {
 		// The value sits inside the reply object, "results" and the element.
 		nested := strings.Repeat("[", depth-3) + strings.Repeat("]", depth-3)

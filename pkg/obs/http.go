@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/signal"
@@ -156,6 +158,28 @@ func DecodeJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) erro
 		return err
 	}
 	return json.Unmarshal(buf.Bytes(), v)
+}
+
+// ReadReply reads a peer's reply body of at most limit bytes: the client
+// side of ReadBody. A longer reply is an error that names the limit, never
+// a silent truncation.
+func ReadReply(body io.Reader, limit int64) ([]byte, error) {
+	b, err := io.ReadAll(io.LimitReader(body, limit+1))
+	if err == nil && int64(len(b)) > limit {
+		err = fmt.Errorf("reply exceeds the limit of %d bytes", limit)
+	}
+	return b, err
+}
+
+// DecodeReply reads a peer's JSON reply of at most limit bytes into v with
+// json.Unmarshal's strictness: the client side of DecodeJSON. Anything after
+// the one JSON value is an error.
+func DecodeReply(body io.Reader, limit int64, v any) error {
+	b, err := ReadReply(body, limit)
+	if err != nil {
+		return err
+	}
+	return json.Unmarshal(b, v)
 }
 
 // Serve runs srv until ListenAndServe fails, ctx ends, or the process gets

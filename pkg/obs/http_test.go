@@ -167,3 +167,23 @@ func TestServeSecondSignalKills(t *testing.T) {
 		t.Errorf("child exit = %v, want killed by the second SIGINT", err)
 	}
 }
+
+// TestDecodeReplyIsStrictAndBounded: a peer's reply is held to
+// json.Unmarshal's strictness, and one longer than its limit fails with an
+// error that names the limit instead of being cut short.
+func TestDecodeReplyIsStrictAndBounded(t *testing.T) {
+	var v struct{ A int }
+	if err := DecodeReply(strings.NewReader(`{"A":1}`), 7, &v); err != nil || v.A != 1 {
+		t.Fatalf("DecodeReply of a reply at its limit = %v (A=%d)", err, v.A)
+	}
+	if err := DecodeReply(strings.NewReader(`{"A":1}xyz`), 1<<10, &v); err == nil {
+		t.Error("DecodeReply took trailing bytes after the value")
+	}
+	err := DecodeReply(strings.NewReader(`{"A":1} `), 7, &v)
+	if err == nil || !strings.Contains(err.Error(), "limit of 7 bytes") {
+		t.Errorf("DecodeReply of a reply over its limit = %v, want an error naming the limit", err)
+	}
+	if b, err := ReadReply(strings.NewReader("12345678"), 8); err != nil || string(b) != "12345678" {
+		t.Errorf("ReadReply at the limit = %q, %v", b, err)
+	}
+}

@@ -243,7 +243,7 @@ func (a *Agent) pollOnce(ctx context.Context) error {
 		return a.reconcile(ctx, m)
 	case http.StatusOK:
 		var m controlplane.Manifest
-		if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&m); err != nil {
+		if err := obs.DecodeReply(resp.Body, 1<<20, &m); err != nil {
 			return fmt.Errorf("decode manifest: %w", err)
 		}
 		a.polls.Inc("ok")
@@ -509,7 +509,7 @@ func (a *Agent) fetchBundle(ctx context.Context, hash string) ([]byte, error) {
 		io.Copy(io.Discard, resp.Body)
 		return nil, fmt.Errorf("fetch bundle %s: status %d", shortHash(hash), resp.StatusCode)
 	}
-	return io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	return obs.ReadReply(resp.Body, 64<<20)
 }
 
 // sendHeartbeat reports this replica's serving state and evidence.
@@ -535,7 +535,7 @@ func (a *Agent) sendHeartbeat(ctx context.Context) error {
 		return fmt.Errorf("heartbeat: status %d", resp.StatusCode)
 	}
 	var ack controlplane.HeartbeatAck
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&ack); err != nil {
+	if err := obs.DecodeReply(resp.Body, 1<<16, &ack); err != nil {
 		return fmt.Errorf("decode heartbeat ack: %w", err)
 	}
 	a.mu.Lock()

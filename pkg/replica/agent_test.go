@@ -168,6 +168,42 @@ func TestAgentRejectsHashMismatch(t *testing.T) {
 	}
 }
 
+// TestAgentRefusesTrailingBytesAfterManifest: the manifest is read with
+// json.Unmarshal's strictness, so a valid manifest followed by garbage is a
+// failed poll, not a poll that acts on the first value.
+func TestAgentRefusesTrailingBytesAfterManifest(t *testing.T) {
+	good := bundleJSON(t, 1)
+	mux := http.NewServeMux()
+	mux.HandleFunc("/v1/manifest", func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(controlplane.Manifest{
+			Ring: controlplane.RingFleet, DesiredHash: controlplane.HashOf(good), RolloutState: controlplane.StateIdle,
+		})
+		w.Write([]byte("xyz"))
+	})
+	mux.HandleFunc("/v1/bundles/", func(w http.ResponseWriter, r *http.Request) {
+		w.Write(good)
+	})
+	mux.HandleFunc("/v1/heartbeat", func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(controlplane.HeartbeatAck{Ring: controlplane.RingFleet})
+	})
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+
+	o := obs.NewForTest()
+	reg := registry.New(o, registry.Config{})
+	a := newAgent(t, ts.URL, reg, o)
+	a.Tick(context.Background())
+	if got := a.polls.Value("error"); got != 1 {
+		t.Fatalf("poll errors = %v after a manifest with trailing bytes, want 1", got)
+	}
+	if got := a.polls.Value("ok"); got != 0 {
+		t.Fatalf("ok polls = %v, want 0", got)
+	}
+	if reg.ActiveGeneration() != nil {
+		t.Fatal("agent acted on a manifest it should have refused")
+	}
+}
+
 // deadlineOnly is a control plane whose shadow policy needs more evidence
 // than any test produces, so the agreement gate can never trip — only the
 // soak deadline (and the withdrawal checks) decide.

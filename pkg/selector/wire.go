@@ -1,29 +1,99 @@
 package selector
 
 import (
+	"bytes"
 	"encoding/json"
-	"slices"
+	"errors"
+	"fmt"
+	"net/http"
 	"strconv"
+	"strings"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"github.com/pml-mpi/pmlmpi/pkg/jsonappend"
+	"github.com/pml-mpi/pmlmpi/pkg/obs"
 )
 
-// This file is the wire codec of the select data plane, shared by the
-// server (pkg/admin) and the gateway so both tiers accept, reject and
-// render exactly the same documents. It is reflection-free on the shapes
-// real clients send and defers to encoding/json — on the same bytes — for
+// This file is the request half of the wire codec of the select data plane,
+// shared by the server (pkg/admin) and the gateway so both tiers accept,
+// reject and render exactly the same documents: the request rules and
+// limits, and the decoder. The decoder is reflection-free on the shapes real
+// clients send and defers to encoding/json — on the same bytes — for
 // everything else, so encoding/json remains the definition of the format.
+// The JSON grammar at the end of the file is shared with the batch-reply
+// scanner; wire_reply.go holds the reply half.
+
+// The request limits of the select endpoints.
+const (
+	// MaxSelectBody bounds a /v1/select body, in bytes.
+	MaxSelectBody = 1 << 20
+	// MaxBatchBody bounds a /v1/select/batch body, in bytes.
+	MaxBatchBody = 8 << 20
+	// MaxBatchItems bounds the items of one /v1/select/batch body.
+	MaxBatchItems = 1024
+)
+
+// ParseSelect reads r's /v1/select body into buf and decodes it. An error
+// is the client's fault, and its text is the 400 reply's.
+func ParseSelect(buf *bytes.Buffer, w http.ResponseWriter, r *http.Request) (BatchRequest, error) {
+	if err := obs.ReadBody(buf, w, r, MaxSelectBody); err != nil {
+		return BatchRequest{}, badBody(err)
+	}
+	req, err := DecodeSelect(buf.Bytes())
+	if err != nil {
+		return req, badBody(err)
+	}
+	if req.Collective == "" {
+		return req, errors.New(`missing "collective"`)
+	}
+	return req, nil
+}
+
+// ParseBatch reads r's /v1/select/batch body into buf and decodes it. An
+// error is the client's fault, and its text is the 400 reply's.
+func ParseBatch(buf *bytes.Buffer, w http.ResponseWriter, r *http.Request) ([]BatchRequest, error) {
+	if err := obs.ReadBody(buf, w, r, MaxBatchBody); err != nil {
+		return nil, badBody(err)
+	}
+	reqs, err := DecodeBatch(buf.Bytes())
+	if err != nil {
+		return nil, badBody(err)
+	}
+	return reqs, checkBatch(len(reqs))
+}
+
+// ParseBatchRaw is ParseBatch for a forwarder: beside each item it returns
+// the item's text, as DecodeBatchRaw does, which may alias buf.
+func ParseBatchRaw(buf *bytes.Buffer, w http.ResponseWriter, r *http.Request) ([]BatchRequest, [][]byte, error) {
+	if err := obs.ReadBody(buf, w, r, MaxBatchBody); err != nil {
+		return nil, nil, badBody(err)
+	}
+	reqs, raw, err := DecodeBatchRaw(buf.Bytes())
+	if err != nil {
+		return nil, nil, badBody(err)
+	}
+	return reqs, raw, checkBatch(len(reqs))
+}
+
+func badBody(err error) error { return fmt.Errorf("bad request body: %w", err) }
+
+func checkBatch(items int) error {
+	switch {
+	case items == 0:
+		return errors.New(`empty batch: "requests" must have at least one item`)
+	case items > MaxBatchItems:
+		return fmt.Errorf("batch of %d items exceeds the limit of %d", items, MaxBatchItems)
+	}
+	return nil
+}
 
 // DecodeSelect decodes a /v1/select body with json.Unmarshal's semantics
 // and error text: the whole body must be one JSON value.
 func DecodeSelect(body []byte) (BatchRequest, error) {
-	sc := getScanner(body)
-	defer sc.release()
+	sc := scanners.Get().(*scanner)
+	defer scanners.Put(sc)
 	var req BatchRequest
-	if sc.item(&req) && sc.atEnd() {
+	if end := sc.item(body, skipSpace(body, 0), &req); end >= 0 && skipSpace(body, end) == len(body) {
 		return req, nil
 	}
 	var slow BatchRequest // its own variable: &slow escapes, req need not
@@ -34,9 +104,9 @@ func DecodeSelect(body []byte) (BatchRequest, error) {
 // DecodeBatch decodes a /v1/select/batch body ({"requests": [...]}) with
 // json.Unmarshal's semantics and error text.
 func DecodeBatch(body []byte) ([]BatchRequest, error) {
-	sc := getScanner(body)
-	defer sc.release()
-	if reqs, ok := sc.batch(nil); ok {
+	sc := scanners.Get().(*scanner)
+	defer scanners.Put(sc)
+	if reqs, ok := sc.batch(body, nil); ok {
 		return reqs, nil
 	}
 	var env batchEnvelope
@@ -51,9 +121,9 @@ func DecodeBatch(body []byte) ([]BatchRequest, error) {
 // items on the same bytes and raw[i] is its copy. Either way a server that
 // decodes raw[i] inside a fresh envelope reads reqs[i].
 func DecodeBatchRaw(body []byte) (reqs []BatchRequest, raw [][]byte, err error) {
-	sc := getScanner(body)
-	defer sc.release()
-	if reqs, ok := sc.batch(&raw); ok {
+	sc := scanners.Get().(*scanner)
+	defer scanners.Put(sc)
+	if reqs, ok := sc.batch(body, &raw); ok {
 		return reqs, raw, nil
 	}
 	var env batchEnvelope
@@ -113,10 +183,9 @@ func (r *rawItems) UnmarshalJSON(b []byte) error {
 // on anything else without saying why: the caller then runs json.Unmarshal,
 // which either decodes what the scanner would not (escapes, other key
 // spellings, duplicates, null) or produces the error. Every body the scanner
-// accepts is valid JSON that json.Unmarshal decodes to the same value.
+// accepts is valid JSON that json.Unmarshal decodes to the same value. Its
+// methods read with the shared grammar, as functions of (b, i).
 type scanner struct {
-	b []byte
-	i int
 	// names interns collective and feature names across the items of a
 	// batch and across requests: clients send the same few names every
 	// time, and the decoded strings outlive the pooled body buffer.
@@ -130,61 +199,6 @@ type scanner struct {
 const maxInterned = 64
 
 var scanners = sync.Pool{New: func() any { return new(scanner) }}
-
-func getScanner(body []byte) *scanner {
-	sc := scanners.Get().(*scanner)
-	sc.b, sc.i = body, 0
-	return sc
-}
-
-func (sc *scanner) release() {
-	sc.b = nil // the body belongs to the caller; do not pin it from the pool
-	scanners.Put(sc)
-}
-
-func (sc *scanner) skipSpace() {
-	for sc.i < len(sc.b) {
-		switch sc.b[sc.i] {
-		case ' ', '\t', '\r', '\n':
-			sc.i++
-		default:
-			return
-		}
-	}
-}
-
-// lit consumes c after optional whitespace.
-func (sc *scanner) lit(c byte) bool {
-	sc.skipSpace()
-	if sc.i < len(sc.b) && sc.b[sc.i] == c {
-		sc.i++
-		return true
-	}
-	return false
-}
-
-func (sc *scanner) atEnd() bool {
-	sc.skipSpace()
-	return sc.i == len(sc.b)
-}
-
-// str consumes a string literal made of plain bytes only and returns its
-// contents, which for such a literal are its decoded value.
-func (sc *scanner) str() ([]byte, bool) {
-	if !sc.lit('"') {
-		return nil, false
-	}
-	start := sc.i
-	for sc.i < len(sc.b) {
-		if sc.b[sc.i] == '"' {
-			s := sc.b[start:sc.i]
-			sc.i++
-			return s, jsonappend.IsPlain(s)
-		}
-		sc.i++
-	}
-	return nil, false
-}
 
 // intern returns b as a string, reusing an earlier allocation when the
 // name was seen before. Names usually recur in the same order, so the slot
@@ -208,25 +222,215 @@ func (sc *scanner) intern(b []byte) string {
 	return s
 }
 
-// number consumes a JSON number (RFC 8259 grammar, checked here because
-// strconv.ParseFloat alone is more permissive) and parses it as
-// encoding/json does for a float64 target.
-func (sc *scanner) number() (float64, bool) {
-	sc.skipSpace()
-	b, start := sc.b, sc.i
-	i := start
+// number reads a number and parses it as encoding/json does for a float64
+// target.
+func number(b []byte, i int) (f float64, end int) {
+	if end = skipNumber(b, i); end < 0 {
+		return 0, -1
+	}
+	if f, ok := smallInt(b[i:end]); ok {
+		return f, end
+	}
+	f, err := strconv.ParseFloat(string(b[i:end]), 64)
+	if err != nil {
+		return 0, -1 // out of range: json reports a type error
+	}
+	return f, end
+}
+
+// smallInt parses an integer of at most 15 digits, maybe signed. It is exact
+// in a float64, so the digits' value is what ParseFloat returns ("-0"
+// included).
+func smallInt(s []byte) (float64, bool) {
+	neg := s[0] == '-'
+	if neg {
+		s = s[1:]
+	}
+	if len(s) > 15 {
+		return 0, false
+	}
+	n := 0
+	for _, c := range s {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		n = n*10 + int(c-'0')
+	}
+	if neg {
+		return -float64(n), true
+	}
+	return float64(n), true
+}
+
+// features reads {"name": number, ...}. Repeated names overwrite, as in
+// encoding/json.
+func (sc *scanner) features(b []byte, i int) (map[string]float64, int) {
+	i, empty := open(b, i, '{', '}')
+	if i < 0 {
+		return nil, -1
+	}
+	m := make(map[string]float64, sc.hint)
+	for more := !empty; more; {
+		key, at := memberKey(b, i)
+		if at < 0 || !jsonappend.IsPlain(key[1:len(key)-1]) {
+			return nil, -1
+		}
+		v, end := number(b, at)
+		if end < 0 {
+			return nil, -1
+		}
+		m[sc.intern(key[1:len(key)-1])] = v
+		if i, more = afterValue(b, end, '}'); i < 0 {
+			return nil, -1
+		}
+	}
+	sc.hint = len(m)
+	return m, i
+}
+
+// item reads one {"collective": ..., "features": ...} object into req.
+func (sc *scanner) item(b []byte, i int, req *BatchRequest) int {
+	*req = BatchRequest{}
+	i, empty := open(b, i, '{', '}')
+	var sawCollective, sawFeatures bool
+	for more := i >= 0 && !empty; more; {
+		key, at := memberKey(b, i)
+		switch {
+		case at < 0:
+			return -1
+		case string(key) == `"collective"` && !sawCollective:
+			sawCollective = true
+			// Only a literal of plain bytes: its contents are its value.
+			if i = skipString(b, at); i < 0 || !jsonappend.IsPlain(b[at+1:i-1]) {
+				return -1
+			}
+			req.Collective = sc.intern(b[at+1 : i-1])
+		case string(key) == `"features"` && !sawFeatures:
+			sawFeatures = true
+			if req.Features, i = sc.features(b, at); i < 0 {
+				return -1
+			}
+		default:
+			return -1
+		}
+		if i, more = afterValue(b, i, '}'); i < 0 {
+			return -1
+		}
+	}
+	return i
+}
+
+// batch reads the {"requests": [item, ...]} envelope that is all of b. With
+// raw set, it also collects each item's span of b.
+func (sc *scanner) batch(b []byte, raw *[][]byte) ([]BatchRequest, bool) {
+	i, empty := open(b, skipSpace(b, 0), '{', '}')
+	if i < 0 || empty {
+		return nil, false
+	}
+	key, at := memberKey(b, i)
+	if at < 0 || string(key) != `"requests"` {
+		return nil, false
+	}
+	i, empty = open(b, at, '[', ']')
+	reqs := []BatchRequest{}
+	var req BatchRequest
+	for more := i >= 0 && !empty; more; {
+		end := sc.item(b, i, &req)
+		if end < 0 {
+			return nil, false
+		}
+		reqs = append(reqs, req)
+		if raw != nil {
+			*raw = append(*raw, b[i:end])
+		}
+		if i, more = afterValue(b, end, ']'); i < 0 {
+			return nil, false
+		}
+	}
+	i, more := afterValue(b, i, '}')
+	return reqs, i >= 0 && !more && skipSpace(b, i) == len(b)
+}
+
+// The JSON grammar of the wire codec, shared by its two readers: the request
+// decoder above and the batch-reply span scanner (wire_reply.go). Each
+// part is a function of (b, i): it takes the offset of the first byte of
+// what it reads, whitespace already skipped, and returns the offset just
+// past it, or -1 where encoding/json's syntax check would refuse the
+// document.
+
+// maxDepth is encoding/json's nesting limit; deeper documents are refused as
+// it refuses them, and skipValue's recursion is bounded by it.
+const maxDepth = 10000
+
+func skipSpace(b []byte, i int) int {
+	for i < len(b) && (b[i] == ' ' || b[i] == '\n' || b[i] == '\t' || b[i] == '\r') {
+		i++
+	}
+	return i
+}
+
+// plainStringByte marks the bytes a string literal holds as themselves:
+// everything but its closing quote, the escape character and controls.
+var plainStringByte = func() (t [256]bool) {
+	for c := 0x20; c < 0x100; c++ {
+		t[c] = c != '"' && c != '\\'
+	}
+	return t
+}()
+
+// skipString reads a string literal.
+func skipString(b []byte, i int) int {
+	if i >= len(b) || b[i] != '"' {
+		return -1
+	}
+	for i++; ; {
+		for i < len(b) && plainStringByte[b[i]] {
+			i++
+		}
+		if i == len(b) {
+			return -1
+		}
+		switch c := b[i]; {
+		case c == '"':
+			return i + 1
+		case c != '\\' || i+1 == len(b):
+			return -1
+		case b[i+1] == 'u':
+			if i+6 > len(b) || !isHex4(b[i+2:i+6]) {
+				return -1
+			}
+			i += 6
+		case strings.IndexByte(`"\/bfnrt`, b[i+1]) >= 0:
+			i += 2
+		default:
+			return -1
+		}
+	}
+}
+
+func isHex4(b []byte) bool {
+	for _, c := range b {
+		if !('0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F') {
+			return false
+		}
+	}
+	return true
+}
+
+// skipNumber reads a number (RFC 8259's grammar, which strconv.ParseFloat
+// alone does not enforce).
+func skipNumber(b []byte, i int) int {
 	if i < len(b) && b[i] == '-' {
 		i++
 	}
 	if i < len(b) && b[i] == '0' {
 		i++
-	} else if i = skipDigits(b, i); i == start || b[i-1] == '-' {
-		return 0, false
+	} else if i = skipDigits(b, i); i < 0 {
+		return -1
 	}
 	if i < len(b) && b[i] == '.' {
-		frac := i + 1
-		if i = skipDigits(b, frac); i == frac {
-			return 0, false
+		if i = skipDigits(b, i+1); i < 0 {
+			return -1
 		}
 	}
 	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
@@ -234,284 +438,135 @@ func (sc *scanner) number() (float64, bool) {
 		if i < len(b) && (b[i] == '+' || b[i] == '-') {
 			i++
 		}
-		exp := i
-		if i = skipDigits(b, exp); i == exp {
-			return 0, false
+		if i = skipDigits(b, i); i < 0 {
+			return -1
 		}
-	}
-	sc.i = i
-	if digits := b[start:i]; len(digits) <= 15 && skipDigits(digits, 1) == len(digits) {
-		// A short integer, maybe signed: exact in a float64, so the digits'
-		// value is what ParseFloat returns ("-0" included).
-		neg := digits[0] == '-'
-		if neg {
-			digits = digits[1:]
-		}
-		n := 0
-		for _, c := range digits {
-			n = n*10 + int(c-'0')
-		}
-		if neg {
-			return -float64(n), true
-		}
-		return float64(n), true
-	}
-	f, err := strconv.ParseFloat(string(b[start:i]), 64)
-	return f, err == nil // out of range: json reports a type error
-}
-
-func skipDigits(b []byte, i int) int {
-	for i < len(b) && b[i] >= '0' && b[i] <= '9' {
-		i++
 	}
 	return i
 }
 
-// features consumes {"name": number, ...}. Repeated names overwrite, as in
-// encoding/json.
-func (sc *scanner) features() (map[string]float64, bool) {
-	if !sc.lit('{') {
-		return nil, false
+// skipDigits reads one or more decimal digits.
+func skipDigits(b []byte, i int) int {
+	start := i
+	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+		i++
 	}
-	m := make(map[string]float64, sc.hint)
-	if sc.lit('}') {
-		return m, true
+	if i == start {
+		return -1
 	}
-	for {
-		name, ok := sc.str()
-		if !ok || !sc.lit(':') {
-			return nil, false
+	return i
+}
+
+// skipWord reads the literal w.
+func skipWord(b []byte, i int, w string) int {
+	if len(b)-i < len(w) || string(b[i:i+len(w)]) != w {
+		return -1
+	}
+	return i + len(w)
+}
+
+// memberKey reads an object member's key and colon: it returns the key's
+// literal, quotes and escapes and all, and the offset of the value.
+func memberKey(b []byte, i int) (key []byte, value int) {
+	end := skipString(b, i)
+	if end < 0 {
+		return nil, -1
+	}
+	colon := skipSpace(b, end)
+	if colon == len(b) || b[colon] != ':' {
+		return nil, -1
+	}
+	return b[i:end], skipSpace(b, colon+1)
+}
+
+// afterValue reads what follows a member or an element that ended at i
+// (-1 passes through): a comma, and more is true and the offset that of the
+// next one, or closing, and the offset is just past it.
+func afterValue(b []byte, i int, closing byte) (next int, more bool) {
+	if i < 0 {
+		return -1, false
+	}
+	i = skipSpace(b, i)
+	switch {
+	case i == len(b):
+		return -1, false
+	case b[i] == ',':
+		return skipSpace(b, i+1), true
+	case b[i] == closing:
+		return i + 1, false
+	}
+	return -1, false
+}
+
+// open reads the opening byte of a container and whatever whitespace
+// follows: empty is true, and next just past the container, when closing
+// comes at once; otherwise next is its first member or element. It is -1
+// when b[i] is not opening.
+func open(b []byte, i int, opening, closing byte) (next int, empty bool) {
+	if i >= len(b) || b[i] != opening {
+		return -1, false
+	}
+	i = skipSpace(b, i+1)
+	if i < len(b) && b[i] == closing {
+		return i + 1, true
+	}
+	return i, false
+}
+
+// skipValue reads any value; depth counts the containers open around it.
+func skipValue(b []byte, i, depth int) int {
+	if i >= len(b) {
+		return -1
+	}
+	switch b[i] {
+	case '"':
+		return skipString(b, i)
+	case 't':
+		return skipWord(b, i, "true")
+	case 'f':
+		return skipWord(b, i, "false")
+	case 'n':
+		return skipWord(b, i, "null")
+	case '{', '[':
+		if depth >= maxDepth {
+			return -1
 		}
-		v, ok := sc.number()
-		if !ok {
-			return nil, false
+		object, closing := b[i] == '{', b[i]+2 // '{'+2 == '}', '['+2 == ']'
+		var empty bool
+		i, empty = open(b, i, b[i], closing)
+		for more := !empty; more; {
+			if object {
+				if _, i = memberKey(b, i); i < 0 {
+					return -1
+				}
+			}
+			if i, more = afterValue(b, skipValue(b, i, depth+1), closing); i < 0 {
+				return -1
+			}
 		}
-		m[sc.intern(name)] = v
-		if sc.lit(',') {
-			continue
-		}
-		sc.hint = len(m)
-		return m, sc.lit('}')
+		return i
+	default:
+		return skipNumber(b, i)
 	}
 }
 
-// item consumes one {"collective": ..., "features": ...} object into req.
-func (sc *scanner) item(req *BatchRequest) bool {
-	*req = BatchRequest{}
-	if !sc.lit('{') {
-		return false
-	}
-	if sc.lit('}') {
+// keyNames reports whether encoding/json stores a member with this key
+// literal in the field tagged name: on an exact match or, failing that, a
+// case-insensitive one of the unescaped key.
+func keyNames(key []byte, name string) bool {
+	text := key[1 : len(key)-1]
+	if string(text) == name {
 		return true
 	}
-	var sawCollective, sawFeatures bool
-	for {
-		key, ok := sc.str()
-		if !ok || !sc.lit(':') {
-			return false
-		}
-		switch {
-		case string(key) == "collective" && !sawCollective:
-			sawCollective = true
-			v, ok := sc.str()
-			if !ok {
-				return false
-			}
-			req.Collective = sc.intern(v)
-		case string(key) == "features" && !sawFeatures:
-			sawFeatures = true
-			if req.Features, ok = sc.features(); !ok {
-				return false
-			}
-		default:
-			return false
-		}
-		if sc.lit(',') {
-			continue
-		}
-		return sc.lit('}')
+	if len(text) < len(name) { // escapes and multi-byte letters only lengthen it
+		return false
 	}
-}
-
-// batch consumes the {"requests": [item, ...]} envelope. With raw set, it
-// also collects each item's span of the body.
-func (sc *scanner) batch(raw *[][]byte) ([]BatchRequest, bool) {
-	if !sc.lit('{') {
-		return nil, false
+	if bytes.IndexByte(text, '\\') < 0 {
+		return strings.EqualFold(string(text), name)
 	}
-	key, ok := sc.str()
-	if !ok || string(key) != "requests" || !sc.lit(':') || !sc.lit('[') {
-		return nil, false
+	var unescaped string
+	if json.Unmarshal(key, &unescaped) != nil {
+		return false // unreachable: skipString took the literal
 	}
-	reqs := []BatchRequest{}
-	if !sc.lit(']') {
-		var req BatchRequest
-		for {
-			sc.skipSpace()
-			start := sc.i
-			if !sc.item(&req) {
-				return nil, false
-			}
-			reqs = append(reqs, req)
-			if raw != nil {
-				*raw = append(*raw, sc.b[start:sc.i])
-			}
-			if sc.lit(',') {
-				continue
-			}
-			if !sc.lit(']') {
-				return nil, false
-			}
-			break
-		}
-	}
-	return reqs, sc.lit('}') && sc.atEnd()
-}
-
-// AppendDecision appends d as json.Marshal(d) renders it, byte for byte:
-// same keys, order, omissions and number, time and string formatting. What
-// the direct encoder does not cover (NaN or ±Inf values, a timestamp outside
-// RFC 3339's years) goes through json.Marshal, whose error is returned.
-func AppendDecision(dst []byte, d *Decision) ([]byte, error) {
-	if out, ok := appendDecision(dst, d); ok {
-		return out, nil
-	}
-	b, err := json.Marshal(d)
-	if err != nil {
-		return dst, err
-	}
-	return append(dst, b...), nil
-}
-
-// RFC 3339 covers years 0–9999; a day inside either end keeps any zone
-// offset within range too.
-var (
-	minWireTime = time.Date(0, 1, 2, 0, 0, 0, 0, time.UTC).Unix()
-	maxWireTime = time.Date(9999, 12, 30, 0, 0, 0, 0, time.UTC).Unix()
-)
-
-func appendDecision(b []byte, d *Decision) ([]byte, bool) {
-	if u := d.Time.Unix(); u < minWireTime || u > maxWireTime {
-		return b, false
-	}
-	if _, off := d.Time.Zone(); off <= -24*3600 || off >= 24*3600 {
-		return b, false // RFC 3339 zone hours stop at 23
-	}
-	b = append(b, `{"time":"`...)
-	b = d.Time.AppendFormat(b, time.RFC3339Nano)
-	b = append(b, '"')
-	if d.RequestID != "" {
-		b = append(b, `,"request_id":`...)
-		b = jsonappend.String(b, d.RequestID)
-	}
-	b = append(b, `,"collective":`...)
-	b = jsonappend.String(b, d.Collective)
-	b = append(b, `,"features":`...)
-	b, ok := appendFeatures(b, d.Features)
-	if !ok {
-		return b, false
-	}
-	b = append(b, `,"algorithm":`...)
-	b = jsonappend.String(b, d.Algorithm)
-	b = append(b, `,"class":`...)
-	b = strconv.AppendInt(b, int64(d.Class), 10)
-	b = append(b, `,"probs":`...)
-	if d.Probs == nil {
-		b = append(b, "null"...)
-	} else {
-		b = append(b, '[')
-		for i, p := range d.Probs {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			if b, ok = jsonappend.Float64(b, p); !ok {
-				return b, false
-			}
-		}
-		b = append(b, ']')
-	}
-	b = append(b, `,"votes":`...)
-	if d.Votes == nil {
-		b = append(b, "null"...)
-	} else {
-		b = append(b, '[')
-		for i, v := range d.Votes {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = strconv.AppendInt(b, int64(v), 10)
-		}
-		b = append(b, ']')
-	}
-	b = append(b, `,"margin":`...)
-	if b, ok = jsonappend.Float64(b, d.Margin); !ok {
-		return b, false
-	}
-	if d.LowMargin {
-		b = append(b, `,"low_margin":true`...)
-	}
-	b = append(b, `,"latency_ns":`...)
-	b = strconv.AppendInt(b, d.LatencyNS, 10)
-	if d.Generation != 0 {
-		b = append(b, `,"generation":`...)
-		b = strconv.AppendUint(b, d.Generation, 10)
-	}
-	if d.Cached {
-		b = append(b, `,"cached":true`...)
-	}
-	return append(b, '}'), true
-}
-
-// featureOrder caches the sorted key list of the last feature map rendered
-// or hashed (PartitionKey walks maps in the same order). Clients send the
-// same feature names request after request, so checking that a map has
-// exactly those keys replaces collecting and sorting them.
-var featureOrder atomic.Pointer[[]string]
-
-// sortedFeatureNames collects and sorts m's keys, and leaves the list in
-// featureOrder for the next map with the same keys.
-func sortedFeatureNames(m map[string]float64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	featureOrder.Store(&keys)
-	return keys
-}
-
-// appendFeatures renders the feature map with sorted keys, as encoding/json
-// orders map keys.
-func appendFeatures(b []byte, m map[string]float64) ([]byte, bool) {
-	if m == nil {
-		return append(b, "null"...), true
-	}
-	if cached := featureOrder.Load(); cached != nil && len(*cached) == len(m) {
-		if out, ok := appendFeaturesInOrder(b, m, *cached); ok {
-			return out, true
-		}
-	}
-	return appendFeaturesInOrder(b, m, sortedFeatureNames(m))
-}
-
-// appendFeaturesInOrder renders m's entries in the order of keys, which has
-// len(m) entries. ok is false when keys is not m's key set (one is missing)
-// or a value is not representable; b is then unchanged as the caller sees it.
-func appendFeaturesInOrder(b []byte, m map[string]float64, keys []string) (out []byte, ok bool) {
-	out = append(b, '{')
-	for i, k := range keys {
-		v, present := m[k]
-		if !present {
-			return b, false
-		}
-		if i > 0 {
-			out = append(out, ',')
-		}
-		out = jsonappend.String(out, k)
-		out = append(out, ':')
-		if out, ok = jsonappend.Float64(out, v); !ok {
-			return b, false
-		}
-	}
-	return append(out, '}'), true
+	return strings.EqualFold(unescaped, name)
 }

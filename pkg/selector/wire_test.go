@@ -201,18 +201,15 @@ func FuzzDecodeSelectVsStdlib(f *testing.F) {
 // cannot see (the fallback would still answer correctly, just reflectively).
 func TestDecodeFastPathTakesCanonicalBodies(t *testing.T) {
 	item := `{"collective":"alltoall","features":{"log2_msg_size":21.5,"ppn":48,"num_nodes":32,"mem_bw_gbs":204.8,"thread_count":96}}`
-	sc := getScanner([]byte(item))
+	sc := new(scanner)
 	var req BatchRequest
-	if !sc.item(&req) || !sc.atEnd() {
+	if sc.item([]byte(item), 0, &req) != len(item) {
 		t.Errorf("scanner rejected a canonical select body")
 	}
-	sc.release()
-	sc = getScanner([]byte(`{"requests":[` + item + `, ` + item + `]}`))
 	var raw [][]byte
-	if reqs, ok := sc.batch(&raw); !ok || len(reqs) != 2 {
+	if reqs, ok := sc.batch([]byte(`{"requests":[`+item+`, `+item+`]}`), &raw); !ok || len(reqs) != 2 {
 		t.Errorf("scanner rejected a canonical batch body (ok=%v, %d items)", ok, len(reqs))
 	}
-	sc.release()
 	// The spans are the items exactly: no leading space, nothing after the brace.
 	if len(raw) != 2 || string(raw[0]) != item || string(raw[1]) != item {
 		t.Errorf("scanner's item spans = %q, want the item twice", raw)
@@ -385,4 +382,46 @@ func TestRepliesEqualCompactedReflectiveReplies(t *testing.T) {
 	if cachedSeen == 0 {
 		t.Error("stream produced no cached decision; the cached reply shape went unchecked")
 	}
+}
+
+// checkGrammarAgainstValid holds the shared grammar to json.Valid: b is one
+// value with nothing but whitespace around it exactly when encoding/json
+// says it is valid.
+func checkGrammarAgainstValid(t *testing.T, b []byte) {
+	t.Helper()
+	end := skipValue(b, skipSpace(b, 0), 0)
+	got := end >= 0 && skipSpace(b, end) == len(b)
+	if want := json.Valid(b); got != want {
+		t.Fatalf("grammar says %q is one value: %v, json.Valid says %v", b, got, want)
+	}
+}
+
+// grammarCorpus seeds the differential test and the fuzzer.
+var grammarCorpus = []string{
+	``, ` `, `null`, `true`, `false`, `nul`, `tru`, `nullx`, `True`, `NaN`,
+	`0`, `-0`, `1`, `-`, `01`, `-01`, `1.`, `.5`, `1.5`, `1e`, `1e+`, `1E+2`, `-0.0e-0`, `+1`, `0x10`, `1e999`, `12345678901234567890`,
+	`""`, `"a"`, `"\""`, `"\\"`, `"\/\b\f\n\r\t"`, `"é"`, `"\u12g4"`, `"\u12"`, `"\x"`, `"\`, `"unterminated`,
+	"\"tab\there\"", "\"nul\x00\"", "\"bad utf8 \xff\xc0\"", "\"\xe2\x28\xa1\"", `"😀 \ud800"`,
+	`{}`, `{ }`, `[]`, `[ ]`, `{"a":1}`, `{"a" : [1, 2.5e-3, "x", null, true, {}]}`, ` {"a":{"b":{"c":[]}}} `,
+	`{`, `[`, `}`, `]`, `{"a"}`, `{"a":}`, `{"a" 1}`, `{a:1}`, `{"a":1,}`, `[1,]`, `[,1]`, `{,"a":1}`, `{"a"::1}`, `[1 2]`,
+	`{"a":1}{}`, `[] []`, `1 2`, `{"a":1}x`, "{}\n", "\t[\r\n]\t",
+}
+
+func TestGrammarMatchesValid(t *testing.T) {
+	for _, doc := range grammarCorpus {
+		checkGrammarAgainstValid(t, []byte(doc))
+	}
+	// encoding/json refuses more than maxDepth open containers, in any mix.
+	for _, depth := range []int{maxDepth - 1, maxDepth, maxDepth + 1} {
+		checkGrammarAgainstValid(t, []byte(strings.Repeat("[", depth)+strings.Repeat("]", depth)))
+		checkGrammarAgainstValid(t, []byte(strings.Repeat(`{"a":`, depth)+"1"+strings.Repeat("}", depth)))
+		checkGrammarAgainstValid(t, []byte(strings.Repeat(`[{"a":`, depth/2)+"[]"+strings.Repeat("}]", depth/2)))
+	}
+}
+
+func FuzzSkipValueVsValid(f *testing.F) {
+	for _, doc := range grammarCorpus {
+		f.Add([]byte(doc))
+	}
+	f.Fuzz(checkGrammarAgainstValid)
 }
