@@ -7,7 +7,6 @@
 package bundle
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
@@ -18,7 +17,6 @@ import (
 
 	"github.com/pml-mpi/pmlmpi/pkg/forest"
 	"github.com/pml-mpi/pmlmpi/pkg/forest/compiled"
-	"github.com/pml-mpi/pmlmpi/pkg/obs"
 )
 
 // SupportedVersion is the bundle schema version this loader understands.
@@ -167,32 +165,27 @@ func Load(path string) (*Bundle, error) {
 	return b, nil
 }
 
-// LoadObserved wraps Load in a bundle.load tracing span and emits a
-// structured log record with the outcome.
-func LoadObserved(ctx context.Context, o *obs.Obs, path string) (*Bundle, error) {
-	ctx, span := o.Tracer.Start(ctx, "bundle.load")
-	span.SetAttr("path", path)
-	b, err := Load(path)
-	d := span.End()
-	log := o.Logger.WithCtx(ctx)
-	if err != nil {
-		log.Error("bundle load failed", "path", path, "error", err.Error())
-		return nil, err
+// Parse decodes and validates bundle JSON. Truncated or malformed input
+// returns a descriptive error. A bundle of the canonical shape is decoded
+// by a hand-written scanner (scan.go); anything else, errors included,
+// by encoding/json, which defines the format.
+func Parse(data []byte) (*Bundle, error) {
+	b := parseCanonical(data)
+	if b == nil {
+		var err error
+		if b, err = parseReflective(data); err != nil {
+			return nil, err
+		}
 	}
-	log.Info("bundle loaded",
-		"path", path,
-		"hash", b.ShortHash(),
-		"version", b.Version,
-		"collectives", b.CollectiveNames(),
-		"trained_on_systems", len(b.TrainedOn),
-		"size_bytes", b.SizeBytes,
-		"duration_ms", float64(d.Microseconds())/1000.0)
+	b.LoadedAt = time.Now()
+	b.Hash = fmt.Sprintf("%x", sha256.Sum256(data))
+	b.SizeBytes = int64(len(data))
 	return b, nil
 }
 
-// Parse decodes and validates bundle JSON. Truncated or malformed input
-// returns a descriptive error.
-func Parse(data []byte) (*Bundle, error) {
+// parseReflective is Parse by encoding/json. It leaves the provenance
+// fields to Parse.
+func parseReflective(data []byte) (*Bundle, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("parse: bundle file is empty")
 	}
@@ -201,12 +194,7 @@ func Parse(data []byte) (*Bundle, error) {
 		return nil, fmt.Errorf("parse: malformed or truncated bundle JSON (%d bytes): %w", len(data), err)
 	}
 
-	b := &Bundle{
-		Collectives: make(map[string]*Collective),
-		LoadedAt:    time.Now(),
-		Hash:        fmt.Sprintf("%x", sha256.Sum256(data)),
-		SizeBytes:   int64(len(data)),
-	}
+	b := &Bundle{Collectives: make(map[string]*Collective)}
 
 	verRaw, ok := raw["version"]
 	if !ok {

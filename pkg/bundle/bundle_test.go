@@ -1,13 +1,10 @@
 package bundle
 
 import (
-	"context"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"github.com/pml-mpi/pmlmpi/pkg/obs"
 )
 
 const realBundle = "../../.pmlbench/bundle_all_full.json"
@@ -163,25 +160,5 @@ func TestParseRejects(t *testing.T) {
 				t.Errorf("error %q does not contain %q", err, tc.wantErr)
 			}
 		})
-	}
-}
-
-func TestLoadObserved(t *testing.T) {
-	o := obs.NewForTest()
-	b, err := LoadObserved(context.Background(), o, realBundle)
-	if err != nil {
-		t.Fatalf("LoadObserved: %v", err)
-	}
-	if b.Version != SupportedVersion {
-		t.Errorf("version = %q", b.Version)
-	}
-	var expo strings.Builder
-	o.Registry.WritePrometheus(&expo)
-	if !strings.Contains(expo.String(), `pmlmpi_span_duration_seconds_count{span="bundle.load"} 1`) {
-		t.Errorf("bundle.load span not recorded:\n%s", expo.String())
-	}
-
-	if _, err := LoadObserved(context.Background(), o, "does-not-exist.json"); err == nil {
-		t.Error("expected error for missing file")
 	}
 }

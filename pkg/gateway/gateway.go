@@ -402,11 +402,12 @@ const maxReplyBytes = 16 << 20
 const statusClientClosedRequest = 499
 
 // tryReplica performs one proxy attempt from the template tmpl and appends
-// the reply body to into. Transport errors and 5xx responses are replica
-// failures (retryable, mark down); anything else — including 4xx/422,
-// which are the caller's fault — is a final answer and marks the replica
-// up. An attempt that ends because ctx did is neither: callers check
-// ctx.Err() on error and stop.
+// the reply body to into. Transport errors, replies over maxReplyBytes and
+// 5xx responses are replica failures (retryable, mark down), and leave into
+// as they found it; anything else — including 4xx/422, which are the
+// caller's fault — is a final answer and marks the replica up. An attempt
+// that ends because ctx did is neither: callers check ctx.Err() on error
+// and stop.
 func (g *Gateway) tryReplica(ctx context.Context, rp *replica, tmpl *http.Request, body []byte, into *bytes.Buffer) (status int, err error) {
 	req := tmpl.WithContext(ctx)
 	req.ContentLength = int64(len(body))
@@ -415,14 +416,21 @@ func (g *Gateway) tryReplica(ctx context.Context, rp *replica, tmpl *http.Reques
 	start := time.Now()
 	resp, err := g.client.Do(req)
 	rp.latency.Observe(time.Since(start).Seconds())
+	from := into.Len()
 	if err == nil {
 		if n := resp.ContentLength; n > 0 && n <= maxReplyBytes {
 			into.Grow(int(n) + bytes.MinRead) // ReadFrom wants MinRead spare to see EOF
 		}
-		_, err = into.ReadFrom(io.LimitReader(resp.Body, maxReplyBytes))
+		// One byte past the limit tells a reply at the limit from a longer one.
+		var n int64
+		n, err = into.ReadFrom(io.LimitReader(resp.Body, maxReplyBytes+1))
 		resp.Body.Close()
+		if err == nil && n > maxReplyBytes {
+			err = fmt.Errorf("replica %s: reply exceeds the limit of %d bytes", rp.id, maxReplyBytes)
+		}
 	}
 	if err != nil {
+		into.Truncate(from)
 		if ctx.Err() != nil {
 			g.proxied.Inc(rp.id, "canceled")
 			return 0, ctx.Err()
@@ -438,6 +446,7 @@ func (g *Gateway) tryReplica(ctx context.Context, rp *replica, tmpl *http.Reques
 		g.proxied.Inc(rp.id, strconv.Itoa(resp.StatusCode))
 	}
 	if resp.StatusCode >= 500 {
+		into.Truncate(from)
 		g.markDown(rp, fmt.Sprintf("HTTP %d from %s", resp.StatusCode, tmpl.URL.Path))
 		rp.count(false, "", 0)
 		return 0, fmt.Errorf("replica %s: HTTP %d", rp.id, resp.StatusCode)
@@ -548,7 +557,6 @@ func (g *Gateway) handleSelect(w http.ResponseWriter, r *http.Request) {
 			order = g.failover(key, rp)
 		}
 		g.retries.Inc(rp.id)
-		sc.replies.Reset() // a failed attempt may have left half a reply
 		rp = order[attempt]
 	}
 }

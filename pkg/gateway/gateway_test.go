@@ -556,3 +556,52 @@ func TestBatchRetriesAReplyItCannotSplice(t *testing.T) {
 		}
 	}
 }
+
+// TestOversizedReplyIsAReplicaFailure: a replica reply one byte over
+// maxReplyBytes fails the attempt with an error naming the limit, as a
+// transport error would; the gateway never passes on or merges the part it
+// read. The single reply is cut inside a string, the batch reply only in
+// its trailing whitespace, so a truncating read would answer 200 to both.
+func TestOversizedReplyIsAReplicaFailure(t *testing.T) {
+	pad := func(head, tail string) []byte {
+		return append(append([]byte(head), bytes.Repeat([]byte{' '}, maxReplyBytes+1-len(head)-len(tail))...), tail...)
+	}
+	single := pad(`{"collective":"bcast","algorithm":"`, `"}`)
+	batch := pad(`{"count":1,"errors":0,"results":[{"decision":{"collective":"bcast"}}]}`, "\n")
+	big := &fakeReplica{id: "big"}
+	big.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		if r.URL.Path == "/v1/select/batch" {
+			w.Write(batch)
+		} else {
+			w.Write(single)
+		}
+	}))
+	t.Cleanup(big.ts.Close)
+	g := newTestGateway(t, []*fakeReplica{big})
+	const limit = "reply exceeds the limit of 16777216 bytes"
+
+	body, _ := json.Marshal(map[string]any{"collective": "bcast", "features": testFeatures(0)})
+	rec := httptest.NewRecorder()
+	g.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/select", bytes.NewReader(body)))
+	if rec.Code != http.StatusBadGateway || !bytes.Contains(rec.Body.Bytes(), []byte(limit)) {
+		t.Errorf("single select: HTTP %d, %.200s; want 502 naming the limit", rec.Code, rec.Body)
+	}
+
+	body, _ = json.Marshal(map[string]any{"requests": []any{json.RawMessage(body)}})
+	rec = httptest.NewRecorder()
+	g.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/select/batch", bytes.NewReader(body)))
+	var parsed struct {
+		Errors  int
+		Results []struct{ Error string }
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &parsed); err != nil {
+		t.Fatalf("batch reply: HTTP %d, %v: %.200s", rec.Code, err, rec.Body)
+	}
+	if parsed.Errors != 1 || len(parsed.Results) != 1 || !bytes.Contains([]byte(parsed.Results[0].Error), []byte(limit)) {
+		t.Errorf("batch: %.300s; want its one item failed naming the limit", rec.Body)
+	}
+	if info := g.Snapshot()[0]; info.Healthy {
+		t.Errorf("replica with an oversized reply is still marked healthy: %+v", info)
+	}
+}

@@ -1,8 +1,10 @@
-// Package jsonappend holds the append-style JSON primitives shared by the
-// structured logger and the select wire codec. Each function appends exactly
-// the bytes encoding/json.Marshal would produce for the same value, so a
-// hand-written encoder built from them is byte-identical to the reflective
-// one; anything outside a function's plain case is routed through
+// Package jsonappend holds the module's hand-written JSON: the append-style
+// primitives shared by the structured logger and the select wire codec, and
+// the one read grammar (scan.go) shared by the select request decoder, the
+// batch-reply span scanner and the bundle scanner. Each append function
+// writes exactly the bytes encoding/json.Marshal would produce for the same
+// value, so a hand-written encoder built from them is byte-identical to the
+// reflective one; anything outside a function's plain case is routed through
 // json.Marshal itself rather than re-implemented.
 package jsonappend
 

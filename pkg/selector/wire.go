@@ -6,8 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
-	"strings"
 	"sync"
 
 	"github.com/pml-mpi/pmlmpi/pkg/jsonappend"
@@ -20,8 +18,8 @@ import (
 // limits, and the decoder. The decoder is reflection-free on the shapes real
 // clients send and defers to encoding/json — on the same bytes — for
 // everything else, so encoding/json remains the definition of the format.
-// The JSON grammar at the end of the file is shared with the batch-reply
-// scanner; wire_reply.go holds the reply half.
+// It reads with the module's one JSON grammar (pkg/jsonappend), as the
+// batch-reply scanner does; wire_reply.go holds the reply half.
 
 // The request limits of the select endpoints.
 const (
@@ -93,7 +91,7 @@ func DecodeSelect(body []byte) (BatchRequest, error) {
 	sc := scanners.Get().(*scanner)
 	defer scanners.Put(sc)
 	var req BatchRequest
-	if end := sc.item(body, skipSpace(body, 0), &req); end >= 0 && skipSpace(body, end) == len(body) {
+	if end := sc.item(body, jsonappend.SkipSpace(body, 0), &req); end >= 0 && jsonappend.SkipSpace(body, end) == len(body) {
 		return req, nil
 	}
 	var slow BatchRequest // its own variable: &slow escapes, req need not
@@ -222,65 +220,25 @@ func (sc *scanner) intern(b []byte) string {
 	return s
 }
 
-// number reads a number and parses it as encoding/json does for a float64
-// target.
-func number(b []byte, i int) (f float64, end int) {
-	if end = skipNumber(b, i); end < 0 {
-		return 0, -1
-	}
-	if f, ok := smallInt(b[i:end]); ok {
-		return f, end
-	}
-	f, err := strconv.ParseFloat(string(b[i:end]), 64)
-	if err != nil {
-		return 0, -1 // out of range: json reports a type error
-	}
-	return f, end
-}
-
-// smallInt parses an integer of at most 15 digits, maybe signed. It is exact
-// in a float64, so the digits' value is what ParseFloat returns ("-0"
-// included).
-func smallInt(s []byte) (float64, bool) {
-	neg := s[0] == '-'
-	if neg {
-		s = s[1:]
-	}
-	if len(s) > 15 {
-		return 0, false
-	}
-	n := 0
-	for _, c := range s {
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		n = n*10 + int(c-'0')
-	}
-	if neg {
-		return -float64(n), true
-	}
-	return float64(n), true
-}
-
 // features reads {"name": number, ...}. Repeated names overwrite, as in
 // encoding/json.
 func (sc *scanner) features(b []byte, i int) (map[string]float64, int) {
-	i, empty := open(b, i, '{', '}')
+	i, empty := jsonappend.Open(b, i, '{', '}')
 	if i < 0 {
 		return nil, -1
 	}
 	m := make(map[string]float64, sc.hint)
 	for more := !empty; more; {
-		key, at := memberKey(b, i)
+		key, at := jsonappend.MemberKey(b, i)
 		if at < 0 || !jsonappend.IsPlain(key[1:len(key)-1]) {
 			return nil, -1
 		}
-		v, end := number(b, at)
+		v, end := jsonappend.Number(b, at)
 		if end < 0 {
 			return nil, -1
 		}
 		m[sc.intern(key[1:len(key)-1])] = v
-		if i, more = afterValue(b, end, '}'); i < 0 {
+		if i, more = jsonappend.AfterValue(b, end, '}'); i < 0 {
 			return nil, -1
 		}
 	}
@@ -291,17 +249,17 @@ func (sc *scanner) features(b []byte, i int) (map[string]float64, int) {
 // item reads one {"collective": ..., "features": ...} object into req.
 func (sc *scanner) item(b []byte, i int, req *BatchRequest) int {
 	*req = BatchRequest{}
-	i, empty := open(b, i, '{', '}')
+	i, empty := jsonappend.Open(b, i, '{', '}')
 	var sawCollective, sawFeatures bool
 	for more := i >= 0 && !empty; more; {
-		key, at := memberKey(b, i)
+		key, at := jsonappend.MemberKey(b, i)
 		switch {
 		case at < 0:
 			return -1
 		case string(key) == `"collective"` && !sawCollective:
 			sawCollective = true
 			// Only a literal of plain bytes: its contents are its value.
-			if i = skipString(b, at); i < 0 || !jsonappend.IsPlain(b[at+1:i-1]) {
+			if i = jsonappend.SkipString(b, at); i < 0 || !jsonappend.IsPlain(b[at+1:i-1]) {
 				return -1
 			}
 			req.Collective = sc.intern(b[at+1 : i-1])
@@ -313,7 +271,7 @@ func (sc *scanner) item(b []byte, i int, req *BatchRequest) int {
 		default:
 			return -1
 		}
-		if i, more = afterValue(b, i, '}'); i < 0 {
+		if i, more = jsonappend.AfterValue(b, i, '}'); i < 0 {
 			return -1
 		}
 	}
@@ -323,15 +281,15 @@ func (sc *scanner) item(b []byte, i int, req *BatchRequest) int {
 // batch reads the {"requests": [item, ...]} envelope that is all of b. With
 // raw set, it also collects each item's span of b.
 func (sc *scanner) batch(b []byte, raw *[][]byte) ([]BatchRequest, bool) {
-	i, empty := open(b, skipSpace(b, 0), '{', '}')
+	i, empty := jsonappend.Open(b, jsonappend.SkipSpace(b, 0), '{', '}')
 	if i < 0 || empty {
 		return nil, false
 	}
-	key, at := memberKey(b, i)
+	key, at := jsonappend.MemberKey(b, i)
 	if at < 0 || string(key) != `"requests"` {
 		return nil, false
 	}
-	i, empty = open(b, at, '[', ']')
+	i, empty = jsonappend.Open(b, at, '[', ']')
 	reqs := []BatchRequest{}
 	var req BatchRequest
 	for more := i >= 0 && !empty; more; {
@@ -343,230 +301,10 @@ func (sc *scanner) batch(b []byte, raw *[][]byte) ([]BatchRequest, bool) {
 		if raw != nil {
 			*raw = append(*raw, b[i:end])
 		}
-		if i, more = afterValue(b, end, ']'); i < 0 {
+		if i, more = jsonappend.AfterValue(b, end, ']'); i < 0 {
 			return nil, false
 		}
 	}
-	i, more := afterValue(b, i, '}')
-	return reqs, i >= 0 && !more && skipSpace(b, i) == len(b)
-}
-
-// The JSON grammar of the wire codec, shared by its two readers: the request
-// decoder above and the batch-reply span scanner (wire_reply.go). Each
-// part is a function of (b, i): it takes the offset of the first byte of
-// what it reads, whitespace already skipped, and returns the offset just
-// past it, or -1 where encoding/json's syntax check would refuse the
-// document.
-
-// maxDepth is encoding/json's nesting limit; deeper documents are refused as
-// it refuses them, and skipValue's recursion is bounded by it.
-const maxDepth = 10000
-
-func skipSpace(b []byte, i int) int {
-	for i < len(b) && (b[i] == ' ' || b[i] == '\n' || b[i] == '\t' || b[i] == '\r') {
-		i++
-	}
-	return i
-}
-
-// plainStringByte marks the bytes a string literal holds as themselves:
-// everything but its closing quote, the escape character and controls.
-var plainStringByte = func() (t [256]bool) {
-	for c := 0x20; c < 0x100; c++ {
-		t[c] = c != '"' && c != '\\'
-	}
-	return t
-}()
-
-// skipString reads a string literal.
-func skipString(b []byte, i int) int {
-	if i >= len(b) || b[i] != '"' {
-		return -1
-	}
-	for i++; ; {
-		for i < len(b) && plainStringByte[b[i]] {
-			i++
-		}
-		if i == len(b) {
-			return -1
-		}
-		switch c := b[i]; {
-		case c == '"':
-			return i + 1
-		case c != '\\' || i+1 == len(b):
-			return -1
-		case b[i+1] == 'u':
-			if i+6 > len(b) || !isHex4(b[i+2:i+6]) {
-				return -1
-			}
-			i += 6
-		case strings.IndexByte(`"\/bfnrt`, b[i+1]) >= 0:
-			i += 2
-		default:
-			return -1
-		}
-	}
-}
-
-func isHex4(b []byte) bool {
-	for _, c := range b {
-		if !('0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F') {
-			return false
-		}
-	}
-	return true
-}
-
-// skipNumber reads a number (RFC 8259's grammar, which strconv.ParseFloat
-// alone does not enforce).
-func skipNumber(b []byte, i int) int {
-	if i < len(b) && b[i] == '-' {
-		i++
-	}
-	if i < len(b) && b[i] == '0' {
-		i++
-	} else if i = skipDigits(b, i); i < 0 {
-		return -1
-	}
-	if i < len(b) && b[i] == '.' {
-		if i = skipDigits(b, i+1); i < 0 {
-			return -1
-		}
-	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
-			i++
-		}
-		if i = skipDigits(b, i); i < 0 {
-			return -1
-		}
-	}
-	return i
-}
-
-// skipDigits reads one or more decimal digits.
-func skipDigits(b []byte, i int) int {
-	start := i
-	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-		i++
-	}
-	if i == start {
-		return -1
-	}
-	return i
-}
-
-// skipWord reads the literal w.
-func skipWord(b []byte, i int, w string) int {
-	if len(b)-i < len(w) || string(b[i:i+len(w)]) != w {
-		return -1
-	}
-	return i + len(w)
-}
-
-// memberKey reads an object member's key and colon: it returns the key's
-// literal, quotes and escapes and all, and the offset of the value.
-func memberKey(b []byte, i int) (key []byte, value int) {
-	end := skipString(b, i)
-	if end < 0 {
-		return nil, -1
-	}
-	colon := skipSpace(b, end)
-	if colon == len(b) || b[colon] != ':' {
-		return nil, -1
-	}
-	return b[i:end], skipSpace(b, colon+1)
-}
-
-// afterValue reads what follows a member or an element that ended at i
-// (-1 passes through): a comma, and more is true and the offset that of the
-// next one, or closing, and the offset is just past it.
-func afterValue(b []byte, i int, closing byte) (next int, more bool) {
-	if i < 0 {
-		return -1, false
-	}
-	i = skipSpace(b, i)
-	switch {
-	case i == len(b):
-		return -1, false
-	case b[i] == ',':
-		return skipSpace(b, i+1), true
-	case b[i] == closing:
-		return i + 1, false
-	}
-	return -1, false
-}
-
-// open reads the opening byte of a container and whatever whitespace
-// follows: empty is true, and next just past the container, when closing
-// comes at once; otherwise next is its first member or element. It is -1
-// when b[i] is not opening.
-func open(b []byte, i int, opening, closing byte) (next int, empty bool) {
-	if i >= len(b) || b[i] != opening {
-		return -1, false
-	}
-	i = skipSpace(b, i+1)
-	if i < len(b) && b[i] == closing {
-		return i + 1, true
-	}
-	return i, false
-}
-
-// skipValue reads any value; depth counts the containers open around it.
-func skipValue(b []byte, i, depth int) int {
-	if i >= len(b) {
-		return -1
-	}
-	switch b[i] {
-	case '"':
-		return skipString(b, i)
-	case 't':
-		return skipWord(b, i, "true")
-	case 'f':
-		return skipWord(b, i, "false")
-	case 'n':
-		return skipWord(b, i, "null")
-	case '{', '[':
-		if depth >= maxDepth {
-			return -1
-		}
-		object, closing := b[i] == '{', b[i]+2 // '{'+2 == '}', '['+2 == ']'
-		var empty bool
-		i, empty = open(b, i, b[i], closing)
-		for more := !empty; more; {
-			if object {
-				if _, i = memberKey(b, i); i < 0 {
-					return -1
-				}
-			}
-			if i, more = afterValue(b, skipValue(b, i, depth+1), closing); i < 0 {
-				return -1
-			}
-		}
-		return i
-	default:
-		return skipNumber(b, i)
-	}
-}
-
-// keyNames reports whether encoding/json stores a member with this key
-// literal in the field tagged name: on an exact match or, failing that, a
-// case-insensitive one of the unescaped key.
-func keyNames(key []byte, name string) bool {
-	text := key[1 : len(key)-1]
-	if string(text) == name {
-		return true
-	}
-	if len(text) < len(name) { // escapes and multi-byte letters only lengthen it
-		return false
-	}
-	if bytes.IndexByte(text, '\\') < 0 {
-		return strings.EqualFold(string(text), name)
-	}
-	var unescaped string
-	if json.Unmarshal(key, &unescaped) != nil {
-		return false // unreachable: skipString took the literal
-	}
-	return strings.EqualFold(unescaped, name)
+	i, more := jsonappend.AfterValue(b, i, '}')
+	return reqs, i >= 0 && !more && jsonappend.SkipSpace(b, i) == len(b)
 }

@@ -246,51 +246,51 @@ type ResultSpan struct {
 // twice is refused, because encoding/json merges the two arrays field by
 // field into items that no single span of the document spells.
 func ScanBatchReply(b []byte, from int, spans []ResultSpan) ([]ResultSpan, bool) {
-	i, empty := open(b, skipSpace(b, from), '{', '}')
+	i, empty := jsonappend.Open(b, jsonappend.SkipSpace(b, from), '{', '}')
 	if i < 0 || empty { // an empty object has no results
 		return spans, false
 	}
 	seen := false
 	for more := true; more; {
-		key, at := memberKey(b, i)
+		key, at := jsonappend.MemberKey(b, i)
 		switch {
 		case at < 0:
 			return spans, false
-		case !keyNames(key, "results"):
-			i = skipValue(b, at, 1)
+		case !jsonappend.KeyNames(key, "results"):
+			i = jsonappend.SkipValue(b, at, 1)
 		case seen:
 			return spans, false
 		default:
 			seen = true
 			spans, i = resultSpans(b, at, spans)
 		}
-		if i, more = afterValue(b, i, '}'); i < 0 {
+		if i, more = jsonappend.AfterValue(b, i, '}'); i < 0 {
 			return spans, false
 		}
 	}
-	return spans, seen && skipSpace(b, i) == len(b)
+	return spans, seen && jsonappend.SkipSpace(b, i) == len(b)
 }
 
 // skipStringOrNull reads what encoding/json takes for a string field, and
 // reports whether it was a string other than "".
 func skipStringOrNull(b []byte, i int) (end int, nonEmpty, null bool) {
 	if i < len(b) && b[i] == 'n' {
-		return skipWord(b, i, "null"), false, true
+		return jsonappend.SkipWord(b, i, "null"), false, true
 	}
-	end = skipString(b, i)
+	end = jsonappend.SkipString(b, i)
 	return end, end > i+2, false
 }
 
 // resultSpans reads the "results" array, appending each element's span.
 func resultSpans(b []byte, i int, spans []ResultSpan) ([]ResultSpan, int) {
-	i, empty := open(b, i, '[', ']')
+	i, empty := jsonappend.Open(b, i, '[', ']')
 	for more := i >= 0 && !empty; more; {
 		sp, end := resultSpanAt(b, i)
 		if end < 0 {
 			return spans, -1
 		}
 		spans = append(spans, sp)
-		if i, more = afterValue(b, end, ']'); i < 0 {
+		if i, more = jsonappend.AfterValue(b, end, ']'); i < 0 {
 			return spans, -1
 		}
 	}
@@ -301,10 +301,10 @@ func resultSpans(b []byte, i int, spans []ResultSpan) ([]ResultSpan, int) {
 func resultSpanAt(b []byte, i int) (sp ResultSpan, end int) {
 	sp.Start = i
 	if i < len(b) && b[i] == 'n' {
-		sp.End, sp.Bare = skipWord(b, i, "null"), true
+		sp.End, sp.Bare = jsonappend.SkipWord(b, i, "null"), true
 		return sp, sp.End
 	}
-	i, empty := open(b, i, '{', '}')
+	i, empty := jsonappend.Open(b, i, '{', '}')
 	switch {
 	case i < 0:
 		return sp, -1
@@ -313,21 +313,21 @@ func resultSpanAt(b []byte, i int) (sp ResultSpan, end int) {
 		return sp, i
 	}
 	for more := true; more; {
-		key, at := memberKey(b, i)
+		key, at := jsonappend.MemberKey(b, i)
 		switch {
 		case at < 0:
 			return sp, -1
-		case keyNames(key, "error"):
+		case jsonappend.KeyNames(key, "error"):
 			var nonEmpty, null bool
 			if i, nonEmpty, null = skipStringOrNull(b, at); !null {
 				sp.Failed = nonEmpty // a later "error" replaces an earlier one; null leaves it
 			}
-		case keyNames(key, "replica"):
+		case jsonappend.KeyNames(key, "replica"):
 			i, _, _ = skipStringOrNull(b, at)
 		default:
-			i = skipValue(b, at, 3) // open around it: the reply, "results", the element
+			i = jsonappend.SkipValue(b, at, 3) // open around it: the reply, "results", the element
 		}
-		if i, more = afterValue(b, i, '}'); i < 0 {
+		if i, more = jsonappend.AfterValue(b, i, '}'); i < 0 {
 			return sp, -1
 		}
 	}

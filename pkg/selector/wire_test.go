@@ -383,45 +383,3 @@ func TestRepliesEqualCompactedReflectiveReplies(t *testing.T) {
 		t.Error("stream produced no cached decision; the cached reply shape went unchecked")
 	}
 }
-
-// checkGrammarAgainstValid holds the shared grammar to json.Valid: b is one
-// value with nothing but whitespace around it exactly when encoding/json
-// says it is valid.
-func checkGrammarAgainstValid(t *testing.T, b []byte) {
-	t.Helper()
-	end := skipValue(b, skipSpace(b, 0), 0)
-	got := end >= 0 && skipSpace(b, end) == len(b)
-	if want := json.Valid(b); got != want {
-		t.Fatalf("grammar says %q is one value: %v, json.Valid says %v", b, got, want)
-	}
-}
-
-// grammarCorpus seeds the differential test and the fuzzer.
-var grammarCorpus = []string{
-	``, ` `, `null`, `true`, `false`, `nul`, `tru`, `nullx`, `True`, `NaN`,
-	`0`, `-0`, `1`, `-`, `01`, `-01`, `1.`, `.5`, `1.5`, `1e`, `1e+`, `1E+2`, `-0.0e-0`, `+1`, `0x10`, `1e999`, `12345678901234567890`,
-	`""`, `"a"`, `"\""`, `"\\"`, `"\/\b\f\n\r\t"`, `"é"`, `"\u12g4"`, `"\u12"`, `"\x"`, `"\`, `"unterminated`,
-	"\"tab\there\"", "\"nul\x00\"", "\"bad utf8 \xff\xc0\"", "\"\xe2\x28\xa1\"", `"😀 \ud800"`,
-	`{}`, `{ }`, `[]`, `[ ]`, `{"a":1}`, `{"a" : [1, 2.5e-3, "x", null, true, {}]}`, ` {"a":{"b":{"c":[]}}} `,
-	`{`, `[`, `}`, `]`, `{"a"}`, `{"a":}`, `{"a" 1}`, `{a:1}`, `{"a":1,}`, `[1,]`, `[,1]`, `{,"a":1}`, `{"a"::1}`, `[1 2]`,
-	`{"a":1}{}`, `[] []`, `1 2`, `{"a":1}x`, "{}\n", "\t[\r\n]\t",
-}
-
-func TestGrammarMatchesValid(t *testing.T) {
-	for _, doc := range grammarCorpus {
-		checkGrammarAgainstValid(t, []byte(doc))
-	}
-	// encoding/json refuses more than maxDepth open containers, in any mix.
-	for _, depth := range []int{maxDepth - 1, maxDepth, maxDepth + 1} {
-		checkGrammarAgainstValid(t, []byte(strings.Repeat("[", depth)+strings.Repeat("]", depth)))
-		checkGrammarAgainstValid(t, []byte(strings.Repeat(`{"a":`, depth)+"1"+strings.Repeat("}", depth)))
-		checkGrammarAgainstValid(t, []byte(strings.Repeat(`[{"a":`, depth/2)+"[]"+strings.Repeat("}]", depth/2)))
-	}
-}
-
-func FuzzSkipValueVsValid(f *testing.F) {
-	for _, doc := range grammarCorpus {
-		f.Add([]byte(doc))
-	}
-	f.Fuzz(checkGrammarAgainstValid)
-}
