@@ -77,13 +77,14 @@ func (w *discardWriter) Header() http.Header         { return w.h }
 func (w *discardWriter) WriteHeader(code int)        { w.code = code }
 func (w *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
 
-// The allocation budgets are the measured counts (15.8 per cold batch item,
-// 28 per cached single, httptest.NewRequest's ten included) plus a little
+// The allocation budgets are the measured counts (7.4 per cold batch item,
+// 27 per cached single, httptest.NewRequest's ten included) plus a little
 // headroom. With the reflective codec, per-item spans and per-item log
-// records the same tests read 121 and 114; any of those creeping back lands
-// far above the budgets.
+// records the same tests read 121 and 114, and 9.4 per cold batch item while
+// the decision cache kept a whole decision per entry in a list element; any
+// of those creeping back lands above the budgets.
 const (
-	maxAllocsPerColdBatchItem = 18
+	maxAllocsPerColdBatchItem = 8
 	maxAllocsPerCachedSelect  = 32
 )
 

@@ -1,15 +1,18 @@
 // Package cache is a sharded, bounded, TTL-aware memoization cache for
 // selection decisions. Keys are opaque byte strings (the selector derives
 // them from the collective name plus the quantized feature vector), values
-// are arbitrary immutable payloads. Each shard is an independent LRU list
-// guarded by its own mutex, so concurrent readers on different keys rarely
-// contend. Hit/miss/eviction counts are kept twice: as lock-free atomics
-// (for cheap programmatic assertions via Stats) and as obs counters (so
-// they show up on /metrics).
+// are arbitrary immutable payloads. Each shard is an independent LRU guarded
+// by its own mutex, so concurrent readers on different keys rarely contend.
+// A shard keeps its entries in a slab of slots linked into its LRU order by
+// index, so an entry costs one slot and one index entry and nothing else: a
+// Put that evicts reuses the victim's slot in place and allocates nothing.
+// Hit/miss/eviction counts are kept twice: as lock-free atomics (for cheap
+// programmatic assertions via Stats) and as obs counters (so they show up on
+// /metrics).
 package cache
 
 import (
-	"container/list"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -60,6 +63,9 @@ type Cache struct {
 	mask   uint32
 	ttl    time.Duration
 	now    func() time.Time
+	// epoch is what slot expiry times count from: a Duration since epoch
+	// is monotonic where the clock is, like time.Time.After.
+	epoch time.Time
 
 	hits      atomic.Uint64
 	misses    atomic.Uint64
@@ -72,17 +78,26 @@ type Cache struct {
 	mLookup    obs.BoundHistogram
 }
 
+// none is the null slot index: the end of the LRU list or the free list.
+const none = -1
+
+// shard is one LRU. Its live entries are slots of the slab, linked from
+// head (most recently used) to tail; slots a TTL expiry emptied are linked
+// through next from free. The slab grows to cap slots and no further.
 type shard struct {
-	mu      sync.Mutex
-	lru     *list.List // front = most recently used
-	entries map[string]*list.Element
-	cap     int
+	mu         sync.Mutex
+	index      map[string]int32 // key → slot
+	slots      []slot
+	head, tail int32
+	free       int32
+	cap        int
 }
 
-type entry struct {
-	key     string
-	val     any
-	expires time.Time // zero = never
+type slot struct {
+	key        string
+	val        any
+	prev, next int32
+	expires    time.Duration // since Cache.epoch; meaningful when the cache has a TTL
 }
 
 // New builds a cache and registers its instruments in reg:
@@ -95,11 +110,13 @@ func New(cfg Config, reg *obs.Registry) *Cache {
 	if perShard < 1 {
 		perShard = 1
 	}
+	perShard = min(perShard, math.MaxInt32) // slots are int32-indexed
 	c := &Cache{
 		shards: make([]shard, cfg.Shards),
 		mask:   uint32(cfg.Shards - 1),
 		ttl:    cfg.TTL,
 		now:    time.Now,
+		epoch:  time.Now(),
 		mHits: reg.Counter("pmlmpi_cache_hits_total",
 			"Decision-cache lookups served from cache."),
 		mMisses: reg.Counter("pmlmpi_cache_misses_total",
@@ -112,9 +129,10 @@ func New(cfg Config, reg *obs.Registry) *Cache {
 			"Wall time of one decision-cache Get, hit or miss.", obs.LatencyBuckets).Bind(),
 	}
 	for i := range c.shards {
-		c.shards[i].lru = list.New()
-		c.shards[i].entries = make(map[string]*list.Element)
-		c.shards[i].cap = perShard
+		sh := &c.shards[i]
+		sh.index = make(map[string]int32)
+		sh.head, sh.tail, sh.free = none, none, none
+		sh.cap = perShard
 	}
 	return c
 }
@@ -133,6 +151,68 @@ func (c *Cache) shardFor(key string) *shard {
 	return &c.shards[fnv32a(key)&c.mask]
 }
 
+// clock reads the injected clock as a Duration since the epoch.
+func (c *Cache) clock() time.Duration { return c.now().Sub(c.epoch) }
+
+// unlink takes slot i out of the LRU list.
+func (sh *shard) unlink(i int32) {
+	s := &sh.slots[i]
+	if s.prev == none {
+		sh.head = s.next
+	} else {
+		sh.slots[s.prev].next = s.next
+	}
+	if s.next == none {
+		sh.tail = s.prev
+	} else {
+		sh.slots[s.next].prev = s.prev
+	}
+}
+
+// pushFront makes slot i the most recently used.
+func (sh *shard) pushFront(i int32) {
+	s := &sh.slots[i]
+	s.prev, s.next = none, sh.head
+	if sh.head == none {
+		sh.tail = i
+	} else {
+		sh.slots[sh.head].prev = i
+	}
+	sh.head = i
+}
+
+// alloc returns an unlinked slot for a new entry: the least recently used
+// one when the shard is full (evicted reports that), else a freed one, else
+// a new one from the slab, which grows by doubling up to the shard's cap.
+func (sh *shard) alloc() (i int32, evicted bool) {
+	switch {
+	case len(sh.index) >= sh.cap:
+		i = sh.tail
+		sh.unlink(i)
+		delete(sh.index, sh.slots[i].key)
+		return i, true
+	case sh.free != none:
+		i = sh.free
+		sh.free = sh.slots[i].next
+		return i, false
+	}
+	if len(sh.slots) == cap(sh.slots) {
+		grown := make([]slot, len(sh.slots), min(max(2*cap(sh.slots), 8), sh.cap))
+		copy(grown, sh.slots)
+		sh.slots = grown
+	}
+	sh.slots = append(sh.slots, slot{})
+	return int32(len(sh.slots) - 1), false
+}
+
+// release drops live slot i, key and value, onto the free list.
+func (sh *shard) release(i int32) {
+	sh.unlink(i)
+	delete(sh.index, sh.slots[i].key)
+	sh.slots[i] = slot{next: sh.free}
+	sh.free = i
+}
+
 // Get returns the value stored under key, refreshing its LRU position. An
 // expired entry is removed and counted as a TTL eviction plus a miss. Every
 // lookup, hit or miss, feeds the lookup-duration histogram.
@@ -146,12 +226,10 @@ func (c *Cache) Get(key string) (any, bool) {
 func (c *Cache) get(key string) (any, bool) {
 	sh := c.shardFor(key)
 	sh.mu.Lock()
-	el, ok := sh.entries[key]
+	i, ok := sh.index[key]
 	if ok {
-		e := el.Value.(*entry)
-		if !e.expires.IsZero() && c.now().After(e.expires) {
-			sh.lru.Remove(el)
-			delete(sh.entries, key)
+		if c.ttl > 0 && c.clock() > sh.slots[i].expires {
+			sh.release(i)
 			sh.mu.Unlock()
 			c.evictions.Add(1)
 			c.mEvictions.Inc("ttl")
@@ -160,8 +238,11 @@ func (c *Cache) get(key string) (any, bool) {
 			c.mMisses.Inc()
 			return nil, false
 		}
-		sh.lru.MoveToFront(el)
-		val := e.val
+		if i != sh.head {
+			sh.unlink(i)
+			sh.pushFront(i)
+		}
+		val := sh.slots[i].val
 		sh.mu.Unlock()
 		c.hits.Add(1)
 		c.mHits.Inc()
@@ -177,35 +258,29 @@ func (c *Cache) get(key string) (any, bool) {
 // if the shard is at capacity. Re-putting an existing key refreshes its
 // value, TTL, and LRU position without eviction.
 func (c *Cache) Put(key string, val any) {
-	var expires time.Time
+	var expires time.Duration
 	if c.ttl > 0 {
-		expires = c.now().Add(c.ttl)
+		expires = c.clock() + c.ttl
 	}
 	sh := c.shardFor(key)
 	sh.mu.Lock()
-	if el, ok := sh.entries[key]; ok {
-		e := el.Value.(*entry)
-		e.val = val
-		e.expires = expires
-		sh.lru.MoveToFront(el)
-		sh.mu.Unlock()
-		return
-	}
+	i, ok := sh.index[key]
 	evicted := false
-	if sh.lru.Len() >= sh.cap {
-		back := sh.lru.Back()
-		if back != nil {
-			sh.lru.Remove(back)
-			delete(sh.entries, back.Value.(*entry).key)
-			evicted = true
-		}
+	if ok {
+		sh.unlink(i)
+	} else {
+		i, evicted = sh.alloc()
+		sh.index[key] = i
+		sh.slots[i].key = key // the index's own string: one copy per entry
 	}
-	sh.entries[key] = sh.lru.PushFront(&entry{key: key, val: val, expires: expires})
+	s := &sh.slots[i]
+	s.val, s.expires = val, expires
+	sh.pushFront(i)
 	sh.mu.Unlock()
 	if evicted {
 		c.evictions.Add(1)
 		c.mEvictions.Inc("lru")
-	} else {
+	} else if !ok {
 		c.mEntries.Add(1)
 	}
 }
@@ -214,17 +289,19 @@ func (c *Cache) Put(key string, val any) {
 // "flush", and returns how many were dropped. The selector calls it when a
 // new model generation is promoted: generation-prefixed keys already make
 // old entries unreachable, so this exists to reclaim their memory eagerly
-// rather than waiting on LRU/TTL pressure.
+// rather than waiting on LRU/TTL pressure. The shards keep their slabs and
+// indexes for the entries that follow.
 func (c *Cache) Flush() int {
 	total := 0
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		n := sh.lru.Len()
-		sh.lru.Init()
-		sh.entries = make(map[string]*list.Element)
+		total += len(sh.index)
+		clear(sh.index)
+		clear(sh.slots)
+		sh.slots = sh.slots[:0]
+		sh.head, sh.tail, sh.free = none, none, none
 		sh.mu.Unlock()
-		total += n
 	}
 	if total > 0 {
 		c.evictions.Add(uint64(total))
@@ -241,7 +318,7 @@ func (c *Cache) Len() int {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		n += sh.lru.Len()
+		n += len(sh.index)
 		sh.mu.Unlock()
 	}
 	return n

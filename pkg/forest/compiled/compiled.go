@@ -164,8 +164,7 @@ func (n node) right(i int32) int32 { return i + 1 + int32(n.dist()/nodeSize) }
 //     leafProbs offset of its class distribution plus its precomputed
 //     hard-vote class;
 //   - leafProbs holds leaf k's class distribution at [k*nClasses,
-//     (k+1)*nClasses) and leafVotes[k] is its hard-vote class (the wire
-//     format's view of the same data).
+//     (k+1)*nClasses); its hard-vote class lives only in its leaf word.
 //
 // roots[t] is tree t's root index (trees are stored contiguously, so the
 // roots double as tree boundaries).
@@ -174,7 +173,6 @@ type Forest struct {
 	nFeatures int
 	roots     []int32
 	nodes     []node
-	leafVotes []int32
 	leafProbs []float64
 
 	// onPredict, when set via Instrument, receives the wall time of every
@@ -247,6 +245,7 @@ func Compile(f *forest.Forest, numFeatures int) (*Forest, error) {
 		nFeatures: numFeatures,
 		roots:     make([]int32, len(f.Trees)),
 		nodes:     make([]node, 0, total),
+		leafProbs: make([]float64, 0, leaves*f.NClasses),
 	}
 	for ti := range f.Trees {
 		nodes := f.Trees[ti].Nodes
@@ -267,7 +266,6 @@ func Compile(f *forest.Forest, numFeatures int) (*Forest, error) {
 					}
 				}
 				cf.nodes = append(cf.nodes, packLeaf(int32(len(cf.leafProbs)), int32(best)))
-				cf.leafVotes = append(cf.leafVotes, int32(best))
 				cf.leafProbs = append(cf.leafProbs, n.D...)
 				return
 			}

@@ -158,7 +158,7 @@ type batchItem struct {
 	c     *bundle.Collective // nil: the bundle has no such collective
 	x     []float64          // the extracted vector, cut from the run's slab
 	key   string             // a miss's cache key, for its put
-	e     *entry             // a hit's cached decision, or the one a miss is building
+	v     *verdict           // a hit's cached verdict, or the one a miss is building
 	first int32              // a repeat's earlier item with the same key
 	group int32              // a miss's evaluation group
 	state itemState
@@ -254,7 +254,7 @@ func (r *batchRun) lookup() {
 			continue
 		}
 		if s.cache == nil {
-			it.state, it.e = itemMiss, new(entry)
+			it.state, it.v = itemMiss, new(verdict)
 			continue
 		}
 		key := featureKey(r.gen, req.Collective, it.x, s.quantum)
@@ -266,11 +266,11 @@ func (r *batchRun) lookup() {
 			continue
 		}
 		if v, ok := s.cache.Get(key); ok {
-			it.state, it.e = itemHit, v.(*entry)
+			it.state, it.v = itemHit, v.(*verdict)
 			r.hits++
 			continue
 		}
-		it.state, it.e, it.key = itemMiss, new(entry), key
+		it.state, it.v, it.key = itemMiss, new(verdict), key
 		if r.missed == nil {
 			r.missed = make(map[string]int32, len(r.reqs)-i)
 		}
@@ -279,9 +279,10 @@ func (r *batchRun) lookup() {
 }
 
 // evaluate walks the forest for every miss, one PredictBatch per
-// collective, predicting straight into the entries the decisions will live
-// in. It reads the clock and looks at the context once per collective —
-// from is when lookup ended — and returns when the last group finished.
+// collective, predicting straight into the verdicts the decisions will be
+// built from. It reads the clock and looks at the context once per
+// collective — from is when lookup ended — and returns when the last group
+// finished.
 func (r *batchRun) evaluate(from time.Time) time.Time {
 	s := r.s
 	n := 0
@@ -309,7 +310,7 @@ func (r *batchRun) evaluate(from time.Time) time.Time {
 			if it := &r.items[i]; it.state == itemMiss && it.c == g.c {
 				it.group = int32(gi)
 				r.misses = append(r.misses, int32(i))
-				r.preds = append(r.preds, it.e.prediction())
+				r.preds = append(r.preds, it.v.prediction())
 				xs = append(xs, it.x)
 			}
 		}
@@ -334,31 +335,29 @@ func (r *batchRun) evaluate(from time.Time) time.Time {
 }
 
 // finish turns the phases' outcomes into decisions and reports each one:
-// the misses group by group, putting each fresh decision in the cache, then
+// the misses group by group, putting each fresh verdict in the cache, then
 // the hits in item order — by then a repeat finds its first occurrence's
-// decision there. Hit envelopes come from one slab; they die with the
-// caller's results, unlike the misses' entries, which the cache keeps one by
-// one.
+// verdict there. Every decision's envelope comes from one slab, which dies
+// with the caller's results; the cache keeps only the misses' verdicts.
 func (r *batchRun) finish() {
+	envelopes := make([]Decision, len(r.items))
 	for gi := range r.groups {
 		g := &r.groups[gi]
 		for j := g.lo; j < g.hi; j++ {
 			if i := int(r.misses[j]); g.err != nil {
 				r.failMiss(i, g)
 			} else {
-				r.finishMiss(i, r.preds[j], g.share)
+				r.finishMiss(i, &envelopes[i], r.preds[j], g.share)
 			}
 		}
 	}
-	envelopes := make([]Decision, r.hits)
 	for i := range r.items {
 		it := &r.items[i]
 		if it.state == itemRepeat {
 			r.resolveRepeat(i)
 		}
 		if it.state == itemHit {
-			r.finishHit(i, &envelopes[0])
-			envelopes = envelopes[1:]
+			r.finishHit(i, &envelopes[i])
 		}
 	}
 }
@@ -385,28 +384,28 @@ func (r *batchRun) resolveRepeat(i int) {
 		r.failMiss(i, &r.groups[first.group])
 		return
 	}
-	// Should the cache have dropped the decision again already (a cache
+	// Should the cache have dropped the verdict again already (a cache
 	// smaller than the batch), the batch still holds it.
-	it.state, it.e = itemHit, first.e
+	it.state, it.v = itemHit, first.v
 	if v, ok := r.s.cache.Get(first.key); ok {
-		it.e = v.(*entry)
+		it.v = v.(*verdict)
 	}
 }
 
-// finishHit completes item i from its cached decision, into d.
+// finishHit completes item i from its cached verdict, into d.
 func (r *batchRun) finishHit(i int, d *Decision) {
 	s, it, req := r.s, &r.items[i], &r.reqs[i]
 	// Each item gets its own request ID so decisions in the ring stay
 	// individually addressable; the batch's log record ties them together.
-	s.completeHit(d, it.e, it.c, r.gen, req.Collective, it.x, obs.NewRequestID(), r.start, r.lookupShare)
+	s.completeHit(d, it.v, it.c, r.gen, req.Collective, req.Features, r.owned, it.x, obs.NewRequestID(), r.start, r.lookupShare)
 	r.results[i].Decision = d
 	r.sinks(req, d)
 }
 
-// finishMiss completes item i from its fresh prediction: its entry becomes
-// its decision and goes into the cache. evalShare is the item's share of its
-// forest evaluation.
-func (r *batchRun) finishMiss(i int, pred forest.Prediction, evalShare time.Duration) {
+// finishMiss completes item i from its fresh prediction, into d: its verdict
+// goes into the cache. evalShare is the item's share of its forest
+// evaluation.
+func (r *batchRun) finishMiss(i int, d *Decision, pred forest.Prediction, evalShare time.Duration) {
 	s, it, req := r.s, &r.items[i], &r.reqs[i]
 	latency := r.lookupShare + evalShare
 	s.stDecide.End(nil, latency)
@@ -416,16 +415,12 @@ func (r *batchRun) finishMiss(i int, pred forest.Prediction, evalShare time.Dura
 		// a cold select reports that stage.
 		s.stExtract.End(nil, r.lookupShare)
 	}
-	features := req.Features
-	if !r.owned {
-		features = copyFeatures(features)
-	}
-	s.completeCold(it.e, it.c, r.gen, req.Collective, features, it.x, pred, obs.NewRequestID(), r.start, latency)
+	s.completeCold(d, it.v, it.c, r.gen, req.Collective, req.Features, r.owned, it.x, pred, obs.NewRequestID(), r.start, latency)
 	if s.cache != nil {
-		s.cache.Put(it.key, it.e)
+		s.cache.Put(it.key, it.v)
 	}
-	r.results[i].Decision = &it.e.d
-	r.sinks(req, &it.e.d)
+	r.results[i].Decision = d
+	r.sinks(req, d)
 }
 
 // sinks feeds one completed decision to the shadow and SLO sinks.

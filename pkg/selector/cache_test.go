@@ -2,6 +2,7 @@ package selector
 
 import (
 	"context"
+	"reflect"
 	"testing"
 	"time"
 
@@ -298,5 +299,50 @@ func TestCacheMissTraceKeepsCompleteSpanTree(t *testing.T) {
 	}
 	if byName["feature.extract"].Start.After(byName["forest.eval"].Start) {
 		t.Error("feature.extract should start before forest.eval")
+	}
+}
+
+// TestWideVerdictsRoundTrip covers forests with more classes than a verdict
+// holds inline: cold, hit and batch decisions must all carry the forest's
+// full probabilities and votes.
+func TestWideVerdictsRoundTrip(t *testing.T) {
+	b, err := synth.New(synth.Config{Seed: 26, Trees: 8, Depth: 5, Classes: inlineClasses + 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := obs.NewForTest()
+	o.Logger.SetLevel(obs.LevelError)
+	s := New(b, o, Config{Cache: cache.New(cache.Config{}, o.Registry)})
+	ctx := context.Background()
+	pt := synth.Points(26, 1)[0]
+	c, _ := b.Collective("allgather")
+	x, err := c.Vector(pt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := c.Forest.Predict(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := s.Select(ctx, "allgather", pt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hit, err := s.Select(ctx, "allgather", pt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := s.SelectBatch(ctx, []BatchRequest{{Collective: "allgather", Features: pt}})
+	if res[0].Err != nil {
+		t.Fatal(res[0].Err)
+	}
+	for _, d := range []*Decision{cold, hit, res[0].Decision} {
+		if d.Class != want.Class || !reflect.DeepEqual(d.Probs, want.Probs) || !reflect.DeepEqual(d.Votes, want.Votes) {
+			t.Errorf("cached %v: class %d probs %v votes %v; forest says %d %v %v",
+				d.Cached, d.Class, d.Probs, d.Votes, want.Class, want.Probs, want.Votes)
+		}
+	}
+	if !hit.Cached || !res[0].Decision.Cached {
+		t.Error("the second and third selections should hit the cache")
 	}
 }

@@ -80,9 +80,11 @@ type Config struct {
 	// Algorithms overrides DefaultAlgorithms when non-nil.
 	Algorithms map[string][]string
 	// Cache, when non-nil, memoizes decisions keyed by the collective name
-	// plus the quantized feature vector. The cache keeps the very Decision a
-	// miss returns and shares its payloads (probs, votes, features) with
-	// every later hit, so returned decisions must not be mutated.
+	// plus the quantized feature vector. It keeps a compact verdict per key
+	// (class, margin, probabilities and votes), never a request: each reply
+	// is a fresh envelope carrying its own request's features and ID. The
+	// verdict's probabilities and votes are shared with every decision built
+	// from it, so returned decisions must not be mutated.
 	Cache *cache.Cache
 	// CacheQuantum is the quantization step applied to each feature before
 	// key derivation (default DefaultCacheQuantum).
@@ -385,12 +387,12 @@ func (s *Selector) doSelect(ctx context.Context, collective string, features map
 		return nil, fmt.Errorf("no active model bundle (registry has nothing promoted)")
 	}
 	if s.cache == nil {
-		e, err := s.selectCold(ctx, b, gen, collective, features, nil, time.Time{}, 0, owned)
+		d, _, err := s.selectCold(ctx, b, gen, collective, features, nil, time.Time{}, 0, owned)
 		if err != nil {
 			return nil, err
 		}
-		s.offerShadow(collective, features, &e.d)
-		return &e.d, nil
+		s.offerShadow(collective, features, d)
+		return d, nil
 	}
 	start := time.Now()
 	c, ok := b.Collective(collective)
@@ -418,7 +420,7 @@ func (s *Selector) doSelect(ctx context.Context, collective string, features map
 	if v, ok := s.cache.Get(key); ok {
 		elapsed := time.Since(start)
 		d := new(Decision)
-		s.completeHit(d, v.(*entry), c, gen, collective, x, requestID(ctx), start, elapsed)
+		s.completeHit(d, v.(*verdict), c, gen, collective, features, owned, x, requestID(ctx), start, elapsed)
 		// The warm path must not be dark: when head sampling picks this
 		// request, retain a single-span trace. SampleLeaf is one atomic
 		// load when sampling is off, so unsampled hits pay ~nothing.
@@ -433,13 +435,13 @@ func (s *Selector) doSelect(ctx context.Context, collective string, features map
 		return d, nil
 	}
 	// Nothing keeps x past the miss either, so it stays in xbuf.
-	e, err := s.selectCold(ctx, b, gen, collective, features, x, extractStart, extractDur, owned)
+	d, v, err := s.selectCold(ctx, b, gen, collective, features, x, extractStart, extractDur, owned)
 	if err != nil {
 		return nil, err
 	}
-	s.cache.Put(key, e)
-	s.offerShadow(collective, features, &e.d)
-	return &e.d, nil
+	s.cache.Put(key, v)
+	s.offerShadow(collective, features, d)
+	return d, nil
 }
 
 func unknownCollective(b *bundle.Bundle, collective string) error {
@@ -455,73 +457,105 @@ func (s *Selector) offerShadow(collective string, features map[string]float64, d
 	}
 }
 
-// inlineClasses is how many classes an entry holds probabilities and votes
-// for without a second allocation; every collective the paper and the
+// inlineClasses is how many classes a verdict holds probabilities and
+// votes for without a second allocation; every collective the paper and the
 // performance model know has fewer.
 const inlineClasses = 8
 
-// entry is the one allocation behind a fresh decision: the Decision the
-// caller receives, inline room for its probabilities and votes, and the
-// pre-resolved metric series a later hit reports into.
-// It doubles as the decision-cache payload — the cache stores the pointer,
-// so a miss boxes nothing — which is why a returned decision is read-only:
-// hits copy it into a per-request envelope, nobody writes to it again.
-type entry struct {
-	d     Decision
-	in    *decisionInstr
-	probs [inlineClasses]float64
-	votes [inlineClasses]int
+// verdict is what the forest said about one cache key, and all the decision
+// cache keeps of it: the class, its margin and low-margin flag, the soft and
+// hard votes inline, and the pre-resolved series a hit reports into. It
+// holds nothing of the request that first asked — no features, no request
+// ID, no time — so every decision, hit or miss, is an envelope built from a
+// verdict plus its own request (see fill). A verdict is written once,
+// before it is put, and only read after; decisions alias its probabilities
+// and votes. The generation is the key's: a verdict is only found under the
+// generation whose forest computed it.
+type verdict struct {
+	in *decisionInstr
+	// wide holds the prediction of a forest with more than inlineClasses
+	// classes, which the inline arrays cannot.
+	wide      *forest.Prediction
+	margin    float64
+	class     int32
+	n         uint8 // classes held inline
+	lowMargin bool
+	probs     [inlineClasses]float64
+	votes     [inlineClasses]int
 }
 
-// prediction returns an empty prediction backed by e's inline room, for an
+// prediction returns an empty prediction backed by v's inline room, for an
 // evaluator that fills predictions in place.
-func (e *entry) prediction() forest.Prediction {
-	return forest.Prediction{Probs: e.probs[:0], Votes: e.votes[:0]}
+func (v *verdict) prediction() forest.Prediction {
+	return forest.Prediction{Probs: v.probs[:0], Votes: v.votes[:0]}
 }
 
-// completeCold makes e the decision for pred, reports it everywhere a cold
-// decision is counted — the bound series, model health and the ring.
-// features is the map the decision keeps; x is its extracted vector, which
-// nothing retains.
-func (s *Selector) completeCold(e *entry, c *bundle.Collective, gen uint64, collective string, features map[string]float64, x []float64, pred forest.Prediction, reqID string, start time.Time, latency time.Duration) {
-	in := s.instruments(collective, pred.Class)
-	in.sel.Inc()
-	in.cold.Observe(latency.Seconds())
+// probsVotes returns v's probabilities and votes.
+func (v *verdict) probsVotes() ([]float64, []int) {
+	if v.wide != nil {
+		return v.wide.Probs, v.wide.Votes
+	}
+	return v.probs[:v.n:v.n], v.votes[:v.n:v.n]
+}
 
-	margin := forest.Margin(pred.Probs)
-	e.in = in
-	e.d = Decision{
+// fill makes d the decision v answers for one request: v's outcome, the
+// request's collective, features and ID, and its own time and latency. An
+// owned feature map is kept, any other copied.
+func (v *verdict) fill(d *Decision, gen uint64, collective string, features map[string]float64, owned bool, reqID string, start time.Time, latency time.Duration, cached bool) {
+	if !owned {
+		features = copyFeatures(features)
+	}
+	probs, votes := v.probsVotes()
+	*d = Decision{
 		Time:       start,
 		RequestID:  reqID,
 		Collective: collective,
 		Features:   features,
-		Algorithm:  in.algo,
-		Class:      pred.Class,
-		Probs:      pred.Probs,
-		Votes:      pred.Votes,
-		Margin:     margin,
+		Algorithm:  v.in.algo,
+		Class:      int(v.class),
+		Probs:      probs,
+		Votes:      votes,
+		Margin:     v.margin,
+		LowMargin:  v.lowMargin,
 		LatencyNS:  latency.Nanoseconds(),
 		Generation: gen,
+		Cached:     cached,
 	}
-	if s.health != nil {
-		e.d.LowMargin = margin < s.health.MarginWarn()
-		s.health.RecordDecision(gen, collective, in.algo,
-			c.Features, x, margin, false, e.d.LatencyNS)
-	}
-	s.ring.add(e.d)
 }
 
-// completeHit makes d the per-request envelope around the cached decision
-// in e — the Features/Probs/Votes payloads stay shared and read-only — and
-// reports the hit through e's pre-bound series, model health and the ring.
-func (s *Selector) completeHit(d *Decision, e *entry, c *bundle.Collective, gen uint64, collective string, x []float64, reqID string, start time.Time, elapsed time.Duration) {
-	*d = e.d
-	d.Time = start
-	d.RequestID = reqID
-	d.LatencyNS = elapsed.Nanoseconds()
-	d.Cached = true
-	e.in.sel.Inc()
-	e.in.hit.Observe(elapsed.Seconds())
+// completeCold makes v the verdict for pred, fills d from it and reports the
+// decision everywhere a cold decision is counted — the bound series, model
+// health and the ring. x is the extracted vector, which nothing retains.
+func (s *Selector) completeCold(d *Decision, v *verdict, c *bundle.Collective, gen uint64, collective string, features map[string]float64, owned bool, x []float64, pred forest.Prediction, reqID string, start time.Time, latency time.Duration) {
+	in := s.instruments(collective, pred.Class)
+	in.sel.Inc()
+	in.cold.Observe(latency.Seconds())
+
+	v.in = in
+	v.class = int32(pred.Class)
+	v.margin = forest.Margin(pred.Probs)
+	if len(pred.Probs) <= inlineClasses {
+		v.n = uint8(len(pred.Probs))
+	} else {
+		v.wide = &forest.Prediction{Class: pred.Class, Probs: pred.Probs, Votes: pred.Votes}
+	}
+	if s.health != nil {
+		v.lowMargin = v.margin < s.health.MarginWarn()
+	}
+	v.fill(d, gen, collective, features, owned, reqID, start, latency, false)
+	if s.health != nil {
+		s.health.RecordDecision(gen, collective, in.algo,
+			c.Features, x, v.margin, false, d.LatencyNS)
+	}
+	s.ring.add(*d)
+}
+
+// completeHit fills d from the cached verdict v for this request, and
+// reports the hit through v's pre-bound series, model health and the ring.
+func (s *Selector) completeHit(d *Decision, v *verdict, c *bundle.Collective, gen uint64, collective string, features map[string]float64, owned bool, x []float64, reqID string, start time.Time, elapsed time.Duration) {
+	v.fill(d, gen, collective, features, owned, reqID, start, elapsed, true)
+	v.in.sel.Inc()
+	v.in.hit.Observe(elapsed.Seconds())
 	if s.health != nil {
 		s.health.RecordDecision(gen, collective, d.Algorithm,
 			c.Features, x, d.Margin, true, d.LatencyNS)
@@ -537,8 +571,8 @@ func (s *Selector) completeHit(d *Decision, e *entry, c *bundle.Collective, gen 
 // cache key, so instead of a live feature.extract span its measured timing
 // (extractStart/extractDur) is backfilled into the sampled trace, keeping
 // miss span trees as complete as cache-less ones. It returns the decision
-// as the entry the cache keeps.
-func (s *Selector) selectCold(ctx context.Context, b *bundle.Bundle, gen uint64, collective string, features map[string]float64, x []float64, extractStart time.Time, extractDur time.Duration, owned bool) (*entry, error) {
+// and the verdict the cache keeps.
+func (s *Selector) selectCold(ctx context.Context, b *bundle.Bundle, gen uint64, collective string, features map[string]float64, x []float64, extractStart time.Time, extractDur time.Duration, owned bool) (*Decision, *verdict, error) {
 	reqID := requestID(ctx)
 	ctx, decide := s.stDecide.Start(ctx, reqID)
 	if decide != nil {
@@ -550,7 +584,7 @@ func (s *Selector) selectCold(ctx context.Context, b *bundle.Bundle, gen uint64,
 	if !ok {
 		s.stDecide.End(decide, time.Since(start))
 		s.selErrors.Inc(collective, "unknown_collective")
-		return nil, unknownCollective(b, collective)
+		return nil, nil, unknownCollective(b, collective)
 	}
 
 	evalStart := start
@@ -563,15 +597,15 @@ func (s *Selector) selectCold(ctx context.Context, b *bundle.Bundle, gen uint64,
 		if err != nil {
 			s.stDecide.End(decide, evalStart.Sub(start))
 			s.selErrors.Inc(collective, "missing_feature")
-			return nil, err
+			return nil, nil, err
 		}
 	} else if decide != nil && s.o.Tracer.SampleLeaf(ctx) {
 		s.o.Tracer.RecordLeaf(ctx, "feature.extract", extractStart, extractDur, nil)
 	}
 
 	eval := s.stEval.Child(decide)
-	e := new(entry)
-	pred := e.prediction()
+	v := new(verdict)
+	pred := v.prediction()
 	err := errNotCompiled
 	if cf := c.Compiled(); cf != nil {
 		err = cf.PredictInto(x, &pred)
@@ -582,27 +616,25 @@ func (s *Selector) selectCold(ctx context.Context, b *bundle.Bundle, gen uint64,
 	if err != nil {
 		s.stDecide.End(decide, elapsed)
 		s.selErrors.Inc(collective, "forest_error")
-		return nil, fmt.Errorf("collective %q: %w", collective, err)
+		return nil, nil, fmt.Errorf("collective %q: %w", collective, err)
 	}
 	if decide != nil {
 		decide.SetAttr("class", pred.Class)
 	}
 	s.stDecide.End(decide, elapsed)
 
-	if !owned {
-		features = copyFeatures(features)
-	}
-	s.completeCold(e, c, gen, collective, features, x, pred, reqID, start, elapsed)
+	d := new(Decision)
+	s.completeCold(d, v, c, gen, collective, features, owned, x, pred, reqID, start, elapsed)
 
 	if s.o.Logger.Enabled(obs.LevelInfo) {
 		s.o.Logger.Info("selection",
 			"request_id", reqID,
 			"collective", collective,
-			"algorithm", e.d.Algorithm,
+			"algorithm", d.Algorithm,
 			"class", pred.Class,
 			"latency_us", float64(elapsed.Microseconds()))
 	}
-	return e, nil
+	return d, v, nil
 }
 
 // errNotCompiled fails a selection on a collective without a compiled

@@ -177,18 +177,31 @@ func TestAlgorithmNameFallback(t *testing.T) {
 }
 
 func TestDecisionFeaturesAreCopied(t *testing.T) {
-	s, _ := newTestSelector(t)
-	feats := map[string]float64{}
-	for k, v := range allgatherFeatures {
-		feats[k] = v
-	}
-	d, err := s.Select(context.Background(), "allgather", feats)
+	b, err := bundle.Load(realBundle)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("Load: %v", err)
 	}
-	feats["ppn"] = -1 // caller mutates its map after the call
-	if d.Features["ppn"] != allgatherFeatures["ppn"] {
-		t.Error("decision shares the caller's feature map instead of copying it")
+	// Without a cache every select is cold; with one, the second is a hit,
+	// whose envelope must copy the caller's map as a miss does.
+	for _, c := range []*cache.Cache{nil, cache.New(cache.Config{}, obs.NewRegistry())} {
+		s := New(b, obs.NewForTest(), Config{RingSize: 4, Cache: c})
+		for i := 0; i < 2; i++ {
+			feats := map[string]float64{}
+			for k, v := range allgatherFeatures {
+				feats[k] = v
+			}
+			d, err := s.Select(context.Background(), "allgather", feats)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := c != nil && i == 1; d.Cached != want {
+				t.Fatalf("select %d: cached %v, want %v", i, d.Cached, want)
+			}
+			feats["ppn"] = -1 // caller mutates its map after the call
+			if d.Features["ppn"] != allgatherFeatures["ppn"] || s.Recent(1)[0].Features["ppn"] != allgatherFeatures["ppn"] {
+				t.Errorf("select %d (cached %v) shares the caller's feature map instead of copying it", i, d.Cached)
+			}
+		}
 	}
 }
 

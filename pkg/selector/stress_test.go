@@ -2,11 +2,15 @@ package selector
 
 import (
 	"context"
+	"encoding/json"
+	"math/rand"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"github.com/pml-mpi/pmlmpi/pkg/cache"
+	"github.com/pml-mpi/pmlmpi/pkg/forest"
 	"github.com/pml-mpi/pmlmpi/pkg/obs"
 	"github.com/pml-mpi/pmlmpi/pkg/synth"
 )
@@ -118,5 +122,92 @@ func TestConcurrentSelectStress(t *testing.T) {
 	}
 	if got := reg.Counter("pmlmpi_cache_misses_total", "").Value(); got != float64(st.Misses) {
 		t.Errorf("metrics miss counter = %v, stats say %d", got, st.Misses)
+	}
+}
+
+// TestEvictingBatchesKeepRepliesIntact runs SelectBatch from 4 goroutines on
+// a 16-entry cache over 128 keys, so nearly every put evicts and reuses a
+// slot while other goroutines still encode replies that alias the verdicts
+// they were built from (run under -race in CI). Every reply, in memory and
+// as AppendBatchReply encodes it, must carry the pointer forest's
+// probabilities and votes for its own item.
+func TestEvictingBatchesKeepRepliesIntact(t *testing.T) {
+	const goroutines, rounds, batchSize, points = 4, 40, 24, 64
+	b, err := synth.New(synth.Config{Seed: 42, Trees: 16, Depth: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := obs.NewForTest()
+	o.Logger.SetLevel(obs.LevelError)
+	s := New(b, o, Config{Cache: cache.New(cache.Config{MaxEntries: 16}, o.Registry), BatchWorkers: 1})
+
+	pts := synth.Points(42, points)
+	collectives := b.CollectiveNames()
+	type item struct {
+		collective string
+		point      int
+	}
+	want := map[item]forest.Prediction{}
+	for _, c := range collectives {
+		coll, _ := b.Collective(c)
+		for i, pt := range pts {
+			x, err := coll.Vector(pt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want[item{c, i}], err = coll.Forest.Predict(x); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for round := 0; round < rounds; round++ {
+				items := make([]item, batchSize)
+				reqs := make([]BatchRequest, batchSize)
+				for j := range reqs {
+					items[j] = item{collectives[rng.Intn(len(collectives))], rng.Intn(points)}
+					reqs[j] = BatchRequest{Collective: items[j].collective, Features: pts[items[j].point]}
+				}
+				results := s.SelectBatch(ctx, reqs)
+				out, err := AppendBatchReply(nil, results)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var reply struct {
+					Results []struct {
+						Decision struct {
+							Probs []float64 `json:"probs"`
+							Votes []int     `json:"votes"`
+						} `json:"decision"`
+					} `json:"results"`
+				}
+				if err := json.Unmarshal(out, &reply); err != nil {
+					t.Error(err)
+					return
+				}
+				for j, r := range results {
+					w := want[items[j]]
+					enc := reply.Results[j].Decision
+					if r.Err != nil || !reflect.DeepEqual(r.Decision.Probs, w.Probs) || !reflect.DeepEqual(r.Decision.Votes, w.Votes) ||
+						!reflect.DeepEqual(enc.Probs, w.Probs) || !reflect.DeepEqual(enc.Votes, w.Votes) {
+						t.Errorf("goroutine %d round %d item %d (%v): err %v, reply probs %v votes %v, encoded %v %v; forest says %v %v",
+							g, round, j, items[j], r.Err, r.Decision.Probs, r.Decision.Votes, enc.Probs, enc.Votes, w.Probs, w.Votes)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if st, _ := s.CacheStats(); st.Evictions == 0 || st.Hits == 0 {
+		t.Errorf("stats %+v: the run should both hit and evict", st)
 	}
 }
