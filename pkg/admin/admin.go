@@ -238,8 +238,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	h.Collectives = make(map[string]healthCollective, len(b.Collectives))
 	for name, c := range b.Collectives {
 		h.Collectives[name] = healthCollective{
-			Trees:   len(c.Forest.Trees),
-			Classes: c.Forest.NClasses,
+			Trees:   c.NumTrees(),
+			Classes: c.NClasses(),
 			CVAUC:   c.CVAUC,
 		}
 	}

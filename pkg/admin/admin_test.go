@@ -13,6 +13,7 @@ import (
 	"github.com/pml-mpi/pmlmpi/pkg/cache"
 	"github.com/pml-mpi/pmlmpi/pkg/forest"
 	"github.com/pml-mpi/pmlmpi/pkg/obs"
+	"github.com/pml-mpi/pmlmpi/pkg/registry"
 	"github.com/pml-mpi/pmlmpi/pkg/selector"
 )
 
@@ -644,5 +645,46 @@ func TestPprofGatedByConfig(t *testing.T) {
 	rec := get(t, on, "/debug/pprof/cmdline")
 	if rec.Code != http.StatusOK || rec.Body.Len() == 0 {
 		t.Errorf("pprof on: /debug/pprof/cmdline = %d with %d bytes", rec.Code, rec.Body.Len())
+	}
+}
+
+// TestHealthzOnServedGeneration: a generation loaded through the registry
+// keeps only its compiled forests, and /healthz and the trees gauge read
+// their counts from them: 60 trees of 4 classes for allgather, 100 of 5 for
+// alltoall, as on a full parse.
+func TestHealthzOnServedGeneration(t *testing.T) {
+	o := obs.NewForTest()
+	reg := registry.New(o, registry.Config{})
+	g, err := reg.Load(realBundle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.Promote(g.ID()); err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range g.Bundle().Collectives {
+		if c.Forest != nil {
+			t.Fatalf("%s: the served generation kept its pointer trees", name)
+		}
+	}
+	srv := New(selector.NewFromSource(reg, o, selector.Config{}), o, Config{Registry: reg})
+	rec := get(t, srv, "/healthz")
+	var h Health
+	if err := json.Unmarshal(rec.Body.Bytes(), &h); err != nil || rec.Code != http.StatusOK {
+		t.Fatalf("/healthz = %d %s (%v)", rec.Code, rec.Body, err)
+	}
+	for name, want := range map[string]healthCollective{"allgather": {Trees: 60, Classes: 4}, "alltoall": {Trees: 100, Classes: 5}} {
+		if got := h.Collectives[name]; got.Trees != want.Trees || got.Classes != want.Classes {
+			t.Errorf("%s summary = %+v, want %d trees and %d classes", name, got, want.Trees, want.Classes)
+		}
+	}
+	body := get(t, srv, "/metrics").Body.String()
+	for _, want := range []string{
+		`pmlmpi_bundle_forest_trees{collective="allgather"} 60`,
+		`pmlmpi_bundle_forest_trees{collective="alltoall"} 100`,
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("/metrics missing %q", want)
+		}
 	}
 }

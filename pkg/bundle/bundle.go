@@ -9,6 +9,7 @@ package bundle
 import (
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"sort"
@@ -66,6 +67,9 @@ type Collective struct {
 	compileOnce sync.Once
 	compiled    *compiled.Forest
 	compileErr  error
+	// released is set by Bundle.Release once Forest has been dropped and
+	// compiled is the collective's only forest.
+	released bool
 }
 
 // Compiled returns the collective's compiled SoA forest, building it on
@@ -78,6 +82,46 @@ func (c *Collective) Compiled() *compiled.Forest {
 		c.compiled, c.compileErr = compiled.Compile(c.Forest, len(c.Features))
 	})
 	return c.compiled
+}
+
+// NumTrees returns the ensemble size. It reads the compiled forest, the one
+// a released collective still holds, and falls back to the pointer trees
+// only for an in-memory collective whose compile failed.
+func (c *Collective) NumTrees() int {
+	if cf := c.Compiled(); cf != nil {
+		return cf.NumTrees()
+	}
+	return len(c.Forest.Trees)
+}
+
+// NClasses returns the number of classes the forest votes over, from the
+// same source as NumTrees.
+func (c *Collective) NClasses() int {
+	if cf := c.Compiled(); cf != nil {
+		return cf.NClasses()
+	}
+	return c.Forest.NClasses
+}
+
+// ErrReleased is why a released bundle cannot be encoded: it holds only
+// the compiled arenas, which have no wire format of their own.
+var ErrReleased = errors.New("pointer trees were released after compile; a serving generation cannot be re-encoded")
+
+// Release drops the pointer trees of every collective that compiled, so its
+// compiled arena becomes its only forest. The trees are the larger copy
+// (the paper bundle's take 16 MiB of live heap, its arenas under 4 MiB) and
+// nothing that serves reads them. A collective whose compile failed keeps
+// its trees. Afterwards Forest is nil on every released collective,
+// Compiled returns the arena built before the release, and Encode,
+// EncodeBinary, WriteFile and WriteFileBinary fail with ErrReleased. Call it
+// before the bundle is shared with other goroutines.
+func (b *Bundle) Release() {
+	for _, c := range b.Collectives {
+		if c.Compiled() != nil {
+			c.Forest = nil
+			c.released = true
+		}
+	}
 }
 
 // Vector orders the named feature map into the vector layout the forest
@@ -245,6 +289,9 @@ func parseReflective(data []byte) (*Bundle, error) {
 }
 
 func validateCollective(c *Collective) error {
+	if c.released {
+		return ErrReleased
+	}
 	if len(c.Features) == 0 {
 		return fmt.Errorf("empty feature subset")
 	}

@@ -163,8 +163,9 @@ func (n node) right(i int32) int32 { return i + 1 + int32(n.dist()/nodeSize) }
 //   - a leaf is parked (see node) and carries its payload in its NaN: the
 //     leafProbs offset of its class distribution plus its precomputed
 //     hard-vote class;
-//   - leafProbs holds leaf k's class distribution at [k*nClasses,
-//     (k+1)*nClasses); its hard-vote class lives only in its leaf word.
+//   - leafProbs holds each distinct class distribution once, nClasses
+//     wide; leaves with bit-identical distributions share one offset (see
+//     leafSet), and a leaf's hard-vote class lives only in its leaf word.
 //
 // roots[t] is tree t's root index (trees are stored contiguously, so the
 // roots double as tree boundaries).
@@ -245,8 +246,8 @@ func Compile(f *forest.Forest, numFeatures int) (*Forest, error) {
 		nFeatures: numFeatures,
 		roots:     make([]int32, len(f.Trees)),
 		nodes:     make([]node, 0, total),
-		leafProbs: make([]float64, 0, leaves*f.NClasses),
 	}
+	dists := newLeafSet(leaves, f.NClasses)
 	for ti := range f.Trees {
 		nodes := f.Trees[ti].Nodes
 		cf.roots[ti] = int32(len(cf.nodes))
@@ -265,8 +266,7 @@ func Compile(f *forest.Forest, numFeatures int) (*Forest, error) {
 						best = c
 					}
 				}
-				cf.nodes = append(cf.nodes, packLeaf(int32(len(cf.leafProbs)), int32(best)))
-				cf.leafProbs = append(cf.leafProbs, n.D...)
+				cf.nodes = append(cf.nodes, packLeaf(dists.intern(n.D), int32(best)))
 				return
 			}
 			i := len(cf.nodes)
@@ -277,7 +277,75 @@ func Compile(f *forest.Forest, numFeatures int) (*Forest, error) {
 		}
 		emit(0)
 	}
+	cf.leafProbs = make([]float64, len(dists.probs))
+	copy(cf.leafProbs, dists.probs)
 	return cf, nil
+}
+
+// leafSet interns leaf distributions while Compile emits leaves: leaves
+// whose distributions are bit-identical share one leafProbs offset. The
+// paper bundle's 109 391 leaves carry only 6 494 distinct distributions, so
+// sharing halves its arena. Predictions do not move by a bit: a shared
+// offset holds the very values the leaf's own copy would, read in the same
+// class order. The set is one open-addressed table of offsets over one slab
+// sized for the no-sharing worst case, so interning a forest costs two
+// allocations, not one per leaf; Compile copies the distinct prefix out so
+// the kept slab has no slack.
+type leafSet struct {
+	nc    int
+	shift uint    // 64 - log2(len(slots))
+	slots []int32 // 1 + an offset into probs; 0 marks an empty slot
+	probs []float64
+}
+
+// newLeafSet sizes a set for leaves distributions of nc classes, keeping
+// its table at most half full.
+func newLeafSet(leaves, nc int) *leafSet {
+	bits := uint(1)
+	for 1<<bits < 2*leaves {
+		bits++
+	}
+	return &leafSet{
+		nc:    nc,
+		shift: 64 - bits,
+		slots: make([]int32, 1<<bits),
+		probs: make([]float64, 0, leaves*nc),
+	}
+}
+
+// intern returns the offset of d's first bit-identical copy in the slab,
+// appending d when it has none. d has nc entries (Validate proved it).
+func (s *leafSet) intern(d []float64) int32 {
+	// Multiplicative hash of the words' bits, indexed by its top bits: they
+	// depend on every input bit, where low bits would see only the low
+	// mantissa bits, which round fractions such as 0.5 leave zero.
+	var h uint64
+	for _, p := range d {
+		h = (h ^ math.Float64bits(p)) * 0x9e3779b97f4a7c15
+	}
+	mask := uint64(len(s.slots) - 1)
+	for i := h >> s.shift; ; i = (i + 1) & mask {
+		v := s.slots[i]
+		if v == 0 {
+			off := int32(len(s.probs))
+			s.probs = append(s.probs, d...)
+			s.slots[i] = off + 1
+			return off
+		}
+		if sameBits(s.probs[v-1:][:s.nc], d) {
+			return v - 1
+		}
+	}
+}
+
+// sameBits reports whether a and b hold the same float64 bit patterns.
+func sameBits(a, b []float64) bool {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Decompile reconstructs a pointer-linked forest from the compiled form.

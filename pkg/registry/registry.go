@@ -177,7 +177,9 @@ func (r *Registry) Load(path string) (*Generation, error) {
 }
 
 // LoadData stages raw bundle bytes as a new generation; source labels where
-// they came from. See Load for semantics.
+// they came from. See Load for semantics. The staged bundle is released (see
+// bundle.Bundle.Release): it serves and describes itself from its compiled
+// forests and cannot be re-encoded.
 func (r *Registry) LoadData(data []byte, source string) (*Generation, error) {
 	_, span := r.o.Tracer.Start(context.Background(), "registry.load")
 	span.SetAttr("source", source)
@@ -191,6 +193,9 @@ func (r *Registry) LoadData(data []byte, source string) (*Generation, error) {
 		return nil, fmt.Errorf("registry: %s: %w", source, err)
 	}
 	b.Path = source
+	// A generation serves from its compiled arenas alone: drop the pointer
+	// trees, the larger copy, before anything can read them.
+	b.Release()
 
 	r.mu.Lock()
 	for _, g := range r.gens {

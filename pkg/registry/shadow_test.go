@@ -33,6 +33,12 @@ func TestShadowAgreementMatchesDirectComparison(t *testing.T) {
 	sh := NewShadow(o, ShadowConfig{Fraction: 1, Workers: 1})
 	sh.Start()
 	cand := stageCandidate(t, sh, 2)
+	// The staged candidate keeps only its compiled forests; the reference
+	// walk runs on a separate parse of the same bytes.
+	ref, err := bundle.Parse(bundleJSON(t, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Evaluate the candidate directly on each point to know the expected
 	// agreement outcome, then offer the same points as "live" decisions
@@ -41,7 +47,7 @@ func TestShadowAgreementMatchesDirectComparison(t *testing.T) {
 	points := synth.Points(7, 20)
 	wantAgree := 0
 	for i, p := range points {
-		c, ok := cand.Bundle().Collective("allgather")
+		c, ok := ref.Collective("allgather")
 		if !ok {
 			t.Fatal("candidate missing allgather")
 		}

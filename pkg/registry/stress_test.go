@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"github.com/pml-mpi/pmlmpi/pkg/bundle"
 	"github.com/pml-mpi/pmlmpi/pkg/cache"
 	"github.com/pml-mpi/pmlmpi/pkg/obs"
 	"github.com/pml-mpi/pmlmpi/pkg/selector"
@@ -50,7 +51,10 @@ func concurrentSwapUnderLoad(t *testing.T, cached bool) {
 	// sync.Map: the swap loop stores while worker goroutines load.
 	// Small forests keep the race-instrumented run fast; swap safety does
 	// not depend on model size.
-	var bundles sync.Map // uint64 -> *Generation
+	//
+	// A generation serves from its compiled forests alone, so the reference
+	// walk runs on a separate parse of the same bytes.
+	var bundles sync.Map // uint64 -> *bundle.Bundle
 	load := func(seed int64) uint64 {
 		data, err := synth.JSON(synth.Config{Seed: seed, Trees: 4, Depth: 3})
 		if err != nil {
@@ -60,7 +64,11 @@ func concurrentSwapUnderLoad(t *testing.T, cached bool) {
 		if err != nil {
 			t.Fatalf("load seed %d: %v", seed, err)
 		}
-		bundles.Store(g.ID(), g)
+		ref, err := bundle.Parse(data)
+		if err != nil {
+			t.Fatalf("parse seed %d: %v", seed, err)
+		}
+		bundles.Store(g.ID(), ref)
 		return g.ID()
 	}
 	first := load(1)
@@ -86,7 +94,7 @@ func concurrentSwapUnderLoad(t *testing.T, cached bool) {
 		if !ok {
 			return fmt.Errorf("decision names unknown generation %d", gen)
 		}
-		c, ok := v.(*Generation).Bundle().Collective(collective)
+		c, ok := v.(*bundle.Bundle).Collective(collective)
 		if !ok {
 			return fmt.Errorf("generation %d has no collective %q", gen, collective)
 		}

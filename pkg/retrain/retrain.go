@@ -586,6 +586,7 @@ func scoreBundle(b *bundle.Bundle, ds *dataset.Dataset, marginWarn float64) (acc
 		return 0, 0, fmt.Errorf("empty holdout")
 	}
 	var correct, low int
+	var pred forest.Prediction
 	for i := range ds.Examples {
 		ex := &ds.Examples[i]
 		coll, ok := b.Collective(ex.Collective)
@@ -597,8 +598,11 @@ func scoreBundle(b *bundle.Bundle, ds *dataset.Dataset, marginWarn float64) (acc
 		if err != nil {
 			return 0, 0, fmt.Errorf("%s example %d: %w", ex.Collective, i, err)
 		}
-		pred, err := coll.Forest.Predict(x)
-		if err != nil {
+		cf := coll.Compiled()
+		if cf == nil {
+			return 0, 0, fmt.Errorf("%s example %d: forest did not compile", ex.Collective, i)
+		}
+		if err := cf.PredictInto(x, &pred); err != nil {
 			return 0, 0, fmt.Errorf("%s example %d: %w", ex.Collective, i, err)
 		}
 		if pred.Class == ex.Label {

@@ -266,11 +266,11 @@ func (s *Selector) instrumentBundle(b *bundle.Bundle) {
 	s.gTrained.Set(float64(len(b.TrainedOn)))
 	instr := make(map[string][]decisionInstr, len(b.Collectives))
 	for name, c := range b.Collectives {
-		s.gTrees.Set(float64(len(c.Forest.Trees)), name)
+		s.gTrees.Set(float64(c.NumTrees()), name)
 		if cf := c.Compiled(); cf != nil {
 			cf.Instrument(s.hPredict.Bind(name).Observe)
 		}
-		row := make([]decisionInstr, c.Forest.NClasses)
+		row := make([]decisionInstr, c.NClasses())
 		for class := range row {
 			row[class] = s.bindDecision(name, class)
 		}
