@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"sync"
@@ -25,6 +26,12 @@ const SupportedVersion = "pml-mpi/1"
 
 // CanonicalFeatures is the full feature space, in index order, that bundle
 // feature indices refer to. Each collective's forest uses a subset.
+// Indices 0–13 are the request features a client sends (RequestFeatures);
+// 14–15 are derived from the rank count P = round(num_nodes × ppn) by
+// FeatureValue and are never sent. The analytical cost models stretch
+// neighbor exchange and pairwise exchange at odd P and penalise recursive
+// doubling off powers of two, and no threshold on num_nodes or ppn alone
+// can tell those shapes apart.
 var CanonicalFeatures = []string{
 	"num_nodes",       // 0
 	"ppn",             // 1
@@ -40,6 +47,71 @@ var CanonicalFeatures = []string{
 	"pcie_gen",        // 11
 	"link_speed_gbps", // 12
 	"link_width",      // 13
+	"ranks_odd",       // 14: 1 when P is odd
+	"ranks_pow2",      // 15: 1 when P is a power of two
+}
+
+// RequestFeatures are the canonical features a request carries: all but
+// the derived ones. Training-distribution stats, drift monitoring and
+// synthetic points range over these.
+var RequestFeatures = CanonicalFeatures[:numRequestFeatures:numRequestFeatures]
+
+const numRequestFeatures = 14
+
+// MaxFeatures is the widest feature vector any collective can have. The
+// fixed buffers sized by it (the selector's stack vector, the flight
+// recorder's captured vector, and bench/ladder.go's xbuf) hold every
+// subset of CanonicalFeatures without reaching for the heap.
+const MaxFeatures = 16
+
+// FeatureValue returns canonical feature idx of a request's feature map: a
+// request feature as sent, a derived one computed from num_nodes and ppn.
+// missing names the absent feature that idx needs, or is "" when v is
+// valid. It is the one place derived features are computed, for serving
+// (VectorInto) and training alike.
+func FeatureValue(features map[string]float64, idx int) (v float64, missing string) {
+	if idx < numRequestFeatures {
+		name := CanonicalFeatures[idx]
+		v, ok := features[name]
+		if !ok {
+			return 0, name
+		}
+		return v, ""
+	}
+	nodes, ok := features["num_nodes"]
+	if !ok {
+		return 0, "num_nodes"
+	}
+	ppn, ok := features["ppn"]
+	if !ok {
+		return 0, "ppn"
+	}
+	// Float arithmetic throughout, so a non-finite or huge P yields 0
+	// rather than an integer-conversion surprise.
+	p := math.Round(nodes * ppn)
+	var yes bool
+	if idx == numRequestFeatures {
+		yes = math.Mod(p, 2) == 1
+	} else {
+		frac, _ := math.Frexp(p)
+		yes = p >= 1 && frac == 0.5
+	}
+	if yes {
+		return 1, ""
+	}
+	return 0, ""
+}
+
+// CheckRequestFeatures refuses a request feature map that sends a derived
+// feature: those are computed from num_nodes and ppn, never taken from a
+// client. It costs one map lookup per derived feature.
+func CheckRequestFeatures(features map[string]float64) error {
+	for _, name := range CanonicalFeatures[numRequestFeatures:] {
+		if _, sent := features[name]; sent {
+			return fmt.Errorf("feature %q is derived from num_nodes and ppn and must not be sent", name)
+		}
+	}
+	return nil
 }
 
 // Importance is one entry of a collective's full feature-importance table.
@@ -125,7 +197,8 @@ func (b *Bundle) Release() {
 }
 
 // Vector orders the named feature map into the vector layout the forest
-// expects. Every feature in FeatureNames must be present.
+// expects. Every request feature in FeatureNames must be present; a derived
+// one is computed from num_nodes and ppn (FeatureValue), which must be.
 func (c *Collective) Vector(features map[string]float64) ([]float64, error) {
 	x := make([]float64, len(c.FeatureNames))
 	if err := c.VectorInto(x, features); err != nil {
@@ -142,14 +215,32 @@ func (c *Collective) VectorInto(x []float64, features map[string]float64) error 
 			c.Name, len(x), len(c.FeatureNames))
 	}
 	for i, name := range c.FeatureNames {
-		v, ok := features[name]
-		if !ok {
+		var v float64
+		missing := name
+		if i < len(c.Features) && c.Features[i] >= numRequestFeatures {
+			v, missing = FeatureValue(features, c.Features[i])
+		} else if sent, ok := features[name]; ok {
+			v, missing = sent, ""
+		}
+		if missing != "" {
 			return fmt.Errorf("collective %q: missing feature %q (need %v)",
-				c.Name, name, c.FeatureNames)
+				c.Name, missing, c.requestNames())
 		}
 		x[i] = v
 	}
 	return nil
+}
+
+// requestNames lists the features a request must carry for c: its feature
+// names less the derived ones, which num_nodes and ppn yield.
+func (c *Collective) requestNames() []string {
+	names := make([]string, 0, len(c.FeatureNames))
+	for i, n := range c.FeatureNames {
+		if i >= len(c.Features) || c.Features[i] < numRequestFeatures {
+			names = append(names, n)
+		}
+	}
+	return names
 }
 
 // Bundle is a fully loaded and validated model bundle.

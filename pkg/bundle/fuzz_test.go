@@ -2,6 +2,7 @@ package bundle
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 )
@@ -91,6 +92,19 @@ func FuzzVector(f *testing.F) {
 			// NaN != NaN, so compare bit-identity via the map value itself.
 			if x[i] != v && !(v != v && x[i] != x[i]) {
 				t.Errorf("x[%d] = %v, map has %v", i, x[i], v)
+			}
+		}
+		// The derived features come from num_nodes and ppn alone, are 0 or
+		// 1, and ignore any value sent under their own names.
+		d := &Collective{Name: "fuzz", Features: []int{14, 15}, FeatureNames: []string{"ranks_odd", "ranks_pow2"}}
+		xd, err := d.Vector(features)
+		if err != nil {
+			t.Fatalf("derived features of a map with num_nodes and ppn: %v", err)
+		}
+		p := math.Round(features["num_nodes"] * features["ppn"])
+		for i, want := range []bool{math.Mod(p, 2) == 1, p >= 1 && !math.IsInf(p, 0) && p == math.Exp2(math.Floor(math.Log2(p)))} {
+			if (xd[i] == 1) != want || (xd[i] != 0 && xd[i] != 1) {
+				t.Errorf("%s = %v for P = %v", d.FeatureNames[i], xd[i], p)
 			}
 		}
 	})

@@ -8,7 +8,7 @@ import (
 
 // FeatureStats is the optional training-distribution snapshot a trainer can
 // embed in a bundle under the reserved "feature_stats" key (JSON) or
-// section tag 3 (binary). It records, per canonical feature, the binned
+// section tag 3 (binary). It records, per request feature, the binned
 // distribution of that feature over the training sweep, giving the serving
 // side a reference to score live-traffic drift against. Bundles written
 // before this field existed simply omit it; every consumer must tolerate
@@ -16,7 +16,7 @@ import (
 type FeatureStats struct {
 	// Source names where the distribution came from, e.g. "train/sweep".
 	Source string `json:"source,omitempty"`
-	// Features maps canonical feature names to their training distribution.
+	// Features maps request feature names to their training distribution.
 	Features map[string]FeatureDist `json:"features"`
 }
 
@@ -60,13 +60,13 @@ func validateFeatureStats(s *FeatureStats) error {
 	if len(s.Features) == 0 {
 		return fmt.Errorf("feature_stats: empty features table")
 	}
-	canonical := make(map[string]bool, len(CanonicalFeatures))
-	for _, n := range CanonicalFeatures {
-		canonical[n] = true
+	request := make(map[string]bool, len(RequestFeatures))
+	for _, n := range RequestFeatures {
+		request[n] = true
 	}
 	for name, d := range s.Features {
-		if !canonical[name] {
-			return fmt.Errorf("feature_stats: %q is not a canonical feature", name)
+		if !request[name] {
+			return fmt.Errorf("feature_stats: %q is not a canonical feature a request carries", name)
 		}
 		if len(d.Edges) == 0 {
 			return fmt.Errorf("feature_stats: feature %q has no bin edges", name)

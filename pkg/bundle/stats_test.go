@@ -21,8 +21,8 @@ func TestFeatureStatsRoundTrip(t *testing.T) {
 	if b.Stats.Source != "train/sweep" {
 		t.Errorf("source = %q", b.Stats.Source)
 	}
-	if len(b.Stats.Features) != len(CanonicalFeatures) {
-		t.Errorf("stats cover %d features, want all %d canonical", len(b.Stats.Features), len(CanonicalFeatures))
+	if len(b.Stats.Features) != len(RequestFeatures) {
+		t.Errorf("stats cover %d features, want all %d request features", len(b.Stats.Features), len(RequestFeatures))
 	}
 	for _, name := range b.Stats.FeatureNames() {
 		d := b.Stats.Features[name]

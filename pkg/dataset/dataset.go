@@ -86,14 +86,18 @@ func (d *Dataset) classOf(collective, algorithm string) (int, error) {
 }
 
 // validateFeatures checks that a feature map is non-empty, uses only
-// canonical names, and holds finite values.
+// request feature names, and holds finite values. A derived feature is
+// refused by name: it is computed from num_nodes and ppn, never recorded.
 func validateFeatures(features map[string]float64) error {
 	if len(features) == 0 {
 		return fmt.Errorf("empty feature map")
 	}
+	if err := bundle.CheckRequestFeatures(features); err != nil {
+		return err
+	}
 	for name, v := range features {
-		if !canonicalFeature(name) {
-			return fmt.Errorf("feature %q is not a canonical feature (see bundle.CanonicalFeatures)", name)
+		if !requestFeature(name) {
+			return fmt.Errorf("feature %q is not a canonical feature (see bundle.RequestFeatures)", name)
 		}
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return fmt.Errorf("feature %q has non-finite value %v", name, v)
@@ -102,8 +106,8 @@ func validateFeatures(features map[string]float64) error {
 	return nil
 }
 
-func canonicalFeature(name string) bool {
-	for _, c := range bundle.CanonicalFeatures {
+func requestFeature(name string) bool {
+	for _, c := range bundle.RequestFeatures {
 		if c == name {
 			return true
 		}

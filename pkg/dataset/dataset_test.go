@@ -55,6 +55,7 @@ func TestReadJSONLErrors(t *testing.T) {
 		{"unknown latency algorithm", `{"collective":"allgather","features":{"ppn":2},"latency_us":{"ring":2,"hypercube":1}}`, "unknown algorithm"},
 		{"non-canonical feature", `{"collective":"allgather","features":{"gpu_count":2},"algorithm":"ring"}`, "not a canonical feature"},
 		{"empty features", `{"collective":"allgather","features":{},"algorithm":"ring"}`, "empty feature map"},
+		{"derived feature", `{"collective":"allgather","features":{"ppn":2,"ranks_odd":0},"algorithm":"ring"}`, `feature "ranks_odd" is derived`},
 		{"no label", `{"collective":"allgather","features":{"ppn":2}}`, "neither an algorithm label nor latencies"},
 		{"both labels", `{"collective":"allgather","features":{"ppn":2},"algorithm":"ring","latency_us":{"ring":1}}`, "both"},
 		{"negative latency", `{"collective":"allgather","features":{"ppn":2},"latency_us":{"ring":-4}}`, "invalid latency"},
@@ -106,6 +107,7 @@ func TestReadCSVErrors(t *testing.T) {
 		{"empty", "", "no header"},
 		{"bad header column", "collective,num_nodes,wat\nallgather,4,1\n", "neither a canonical feature"},
 		{"no collective first", "num_nodes,lat_ring,ppn\n", "first header column"},
+		{"derived feature column", "collective,num_nodes,ranks_pow2,lat_ring\n", `"ranks_pow2" is neither a canonical feature`},
 		{"no latency columns", "collective,num_nodes,ppn\n", "no lat_"},
 		{"wrong arity", header + "allgather,4\n", "wrong number of fields"},
 		{"nan latency", header + "allgather,4,NaN\n", "invalid latency"},

@@ -86,7 +86,7 @@ func parseCSVHeader(row []string) (*csvHeader, error) {
 				return nil, fmt.Errorf("column %d: latency column %q names no algorithm", i+1, name)
 			}
 			h.lats[i] = algo
-		case canonicalFeature(name):
+		case requestFeature(name):
 			h.features[i] = name
 		default:
 			return nil, fmt.Errorf("column %d: %q is neither a canonical feature nor a %s<algorithm> column", i+1, name, latPrefix)

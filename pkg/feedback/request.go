@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"github.com/pml-mpi/pmlmpi/pkg/bundle"
 	"github.com/pml-mpi/pmlmpi/pkg/dataset"
 )
 
@@ -17,9 +18,10 @@ type Request struct {
 }
 
 // ParseRequest strictly decodes a feedback body into its record list.
-// Unknown fields, trailing data, mixed single+batch shapes, and empty
-// envelopes are errors; semantic validation of each record happens in
-// Store.Add, so a parse success only means the envelope is well-formed.
+// Unknown fields, trailing data, mixed single+batch shapes, empty
+// envelopes and a record that sends a derived feature are errors; semantic
+// validation of each record happens in Store.Add, so a parse success only
+// means the envelope is well-formed.
 func ParseRequest(data []byte) ([]dataset.Record, error) {
 	var req Request
 	dec := json.NewDecoder(bytes.NewReader(data))
@@ -32,14 +34,21 @@ func ParseRequest(data []byte) ([]dataset.Record, error) {
 	}
 	inline := req.Collective != "" || len(req.Features) > 0 ||
 		req.Algorithm != "" || len(req.LatenciesUS) > 0
+	var records []dataset.Record
 	switch {
 	case len(req.Records) > 0 && inline:
 		return nil, fmt.Errorf("bad feedback body: use either an inline record or \"records\", not both")
 	case len(req.Records) > 0:
-		return req.Records, nil
+		records = req.Records
 	case inline:
-		return []dataset.Record{req.Record}, nil
+		records = []dataset.Record{req.Record}
 	default:
 		return nil, fmt.Errorf("bad feedback body: no record fields and no \"records\" array")
 	}
+	for i := range records {
+		if err := bundle.CheckRequestFeatures(records[i].Features); err != nil {
+			return nil, fmt.Errorf("bad feedback body: record %d: %w", i, err)
+		}
+	}
+	return records, nil
 }

@@ -42,9 +42,9 @@ func reasonNames(mask uint8) []string {
 // spread across locks instead of serializing. Must be a power of two.
 const flightStripes = 8
 
-// maxFlightFeatures bounds the feature vector captured per entry; it
-// matches the selector's fixed stack buffer over bundle.CanonicalFeatures.
-const maxFlightFeatures = 16
+// maxFlightFeatures bounds the feature vector captured per entry: the
+// widest vector a collective can have, as the selector's stack buffer.
+const maxFlightFeatures = bundle.MaxFeatures
 
 // flightEntry is one captured decision. Fixed-size by construction —
 // feature values live in an inline array, strings are header copies — so

@@ -14,6 +14,7 @@ package perfmodel
 import (
 	"fmt"
 	"math"
+	"math/rand"
 
 	"github.com/pml-mpi/pmlmpi/pkg/dataset"
 )
@@ -372,9 +373,12 @@ var DefaultSystems = []System{
 type SweepConfig struct {
 	// Collectives to sweep (default: all supported).
 	Collectives []string
-	// Nodes, PPN, Log2MsgSizes are the grid axes (defaults below).
-	Nodes        []float64
-	PPN          []float64
+	// Nodes and PPN, when both are set, make the job-shape axis their
+	// grid. When both are empty each system gets its own DrawShapes.
+	// Setting only one is an error.
+	Nodes []float64
+	PPN   []float64
+	// Log2MsgSizes is the message-size axis (default 2, 4, …, 22).
 	Log2MsgSizes []float64
 	// Systems are the hardware profiles labeled (default DefaultSystems).
 	Systems []System
@@ -383,12 +387,6 @@ type SweepConfig struct {
 func (c SweepConfig) withDefaults() SweepConfig {
 	if len(c.Collectives) == 0 {
 		c.Collectives = CollectiveNames()
-	}
-	if len(c.Nodes) == 0 {
-		c.Nodes = []float64{1, 2, 3, 4, 6, 8, 12, 16, 24, 32}
-	}
-	if len(c.PPN) == 0 {
-		c.PPN = []float64{1, 2, 4, 8, 16, 32}
 	}
 	if len(c.Log2MsgSizes) == 0 {
 		c.Log2MsgSizes = []float64{2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22}
@@ -399,34 +397,96 @@ func (c SweepConfig) withDefaults() SweepConfig {
 	return c
 }
 
-// Sweep enumerates the configured grid in deterministic order and labels
-// every point with the argmin-cost algorithm. The result is a fully
-// validated dataset: every example carries the complete canonical feature
-// map and a class index into the collective's candidate list.
+// Shape is one job shape: nodes and ranks per node.
+type Shape struct {
+	Nodes, PPN float64
+}
+
+// Sweep shape-draw defaults: DefaultShapes distinct integer shapes per
+// system, nodes and ppn each in 1..MaxShapeAxis.
+const (
+	DefaultShapes = 60
+	MaxShapeAxis  = 32
+	shapeSeed     = 1
+)
+
+// DrawShapes returns the default sweep's job shapes for each of n systems:
+// DefaultShapes distinct integer (nodes, ppn) pairs per system, uniform in
+// 1..MaxShapeAxis on both axes, from one fixed-seed stream. The draw holds
+// odd, even and power-of-two rank counts at every scale, which the derived
+// parity features need to learn from; a grid of powers of two holds odd P
+// only where nodes and ppn are both odd.
+func DrawShapes(n int) [][]Shape {
+	rng := rand.New(rand.NewSource(shapeSeed))
+	out := make([][]Shape, n)
+	for i := range out {
+		seen := make(map[Shape]bool, DefaultShapes)
+		shapes := make([]Shape, 0, DefaultShapes)
+		for len(shapes) < DefaultShapes {
+			s := Shape{Nodes: float64(1 + rng.Intn(MaxShapeAxis)), PPN: float64(1 + rng.Intn(MaxShapeAxis))}
+			if !seen[s] {
+				seen[s] = true
+				shapes = append(shapes, s)
+			}
+		}
+		out[i] = shapes
+	}
+	return out
+}
+
+// shapes returns the job shapes of each system: the Nodes × PPN grid, or
+// the default draw.
+func (c SweepConfig) shapes() ([][]Shape, error) {
+	switch {
+	case len(c.Nodes) == 0 && len(c.PPN) == 0:
+		return DrawShapes(len(c.Systems)), nil
+	case len(c.Nodes) == 0 || len(c.PPN) == 0:
+		return nil, fmt.Errorf("perfmodel: sweep sets %d nodes and %d ppn values; set both axes or neither",
+			len(c.Nodes), len(c.PPN))
+	}
+	grid := make([]Shape, 0, len(c.Nodes)*len(c.PPN))
+	for _, nodes := range c.Nodes {
+		for _, ppn := range c.PPN {
+			grid = append(grid, Shape{Nodes: nodes, PPN: ppn})
+		}
+	}
+	out := make([][]Shape, len(c.Systems))
+	for i := range out {
+		out[i] = grid
+	}
+	return out, nil
+}
+
+// Sweep enumerates the configured shapes and sizes in deterministic order
+// and labels every point with the argmin-cost algorithm. The result is a
+// fully validated dataset: every example carries the complete request
+// feature map and a class index into the collective's candidate list.
 func Sweep(cfg SweepConfig) (*dataset.Dataset, error) {
 	cfg = cfg.withDefaults()
+	shapes, err := cfg.shapes()
+	if err != nil {
+		return nil, err
+	}
 	ds := dataset.New(Table())
 	for _, coll := range cfg.Collectives {
 		names, err := AlgorithmNames(coll)
 		if err != nil {
 			return nil, err
 		}
-		for _, sys := range cfg.Systems {
-			for _, nodes := range cfg.Nodes {
-				for _, ppn := range cfg.PPN {
-					for _, lm := range cfg.Log2MsgSizes {
-						f := sys.Features(nodes, ppn, lm)
-						cls, err := Best(coll, f)
-						if err != nil {
-							return nil, err
-						}
-						ds.Examples = append(ds.Examples, dataset.Example{
-							Collective: coll,
-							Features:   f,
-							Label:      cls,
-							Algorithm:  names[cls],
-						})
+		for si, sys := range cfg.Systems {
+			for _, sh := range shapes[si] {
+				for _, lm := range cfg.Log2MsgSizes {
+					f := sys.Features(sh.Nodes, sh.PPN, lm)
+					cls, err := Best(coll, f)
+					if err != nil {
+						return nil, err
 					}
+					ds.Examples = append(ds.Examples, dataset.Example{
+						Collective: coll,
+						Features:   f,
+						Label:      cls,
+						Algorithm:  names[cls],
+					})
 				}
 			}
 		}

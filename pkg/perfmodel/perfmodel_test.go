@@ -105,7 +105,7 @@ func TestUnknownCollectiveErrors(t *testing.T) {
 }
 
 // TestSweepDeterministicAndValid: equal configs produce equal datasets,
-// every example is fully labeled over the complete canonical feature set,
+// every example is fully labeled over the complete request feature set,
 // and every supported collective sees at least two distinct winning
 // classes (a degenerate single-class sweep would train a useless model).
 func TestSweepDeterministicAndValid(t *testing.T) {
@@ -125,9 +125,9 @@ func TestSweepDeterministicAndValid(t *testing.T) {
 	}
 	for i := range a.Examples {
 		ex := &a.Examples[i]
-		if len(ex.Features) != len(bundle.CanonicalFeatures) {
-			t.Fatalf("example %d has %d features, want the full canonical %d",
-				i, len(ex.Features), len(bundle.CanonicalFeatures))
+		if len(ex.Features) != len(bundle.RequestFeatures) {
+			t.Fatalf("example %d has %d features, want the full request set of %d",
+				i, len(ex.Features), len(bundle.RequestFeatures))
 		}
 		names := a.Algorithms[ex.Collective]
 		if ex.Label < 0 || ex.Label >= len(names) {
@@ -149,6 +149,65 @@ func TestSweepDeterministicAndValid(t *testing.T) {
 		if distinct < 2 {
 			t.Errorf("%s: sweep labels collapse to %d class(es) (%v)", coll, distinct, counts)
 		}
+	}
+}
+
+// TestDefaultShapeDraw pins the default sweep's job-shape axis: a fixed
+// draw, DefaultShapes distinct integer shapes per system inside
+// 1..MaxShapeAxis, holding odd, even and power-of-two rank counts on every
+// system, with the example count of the grid it replaced (1 980 per
+// collective). A draw with replacement repeats points; one without odd P
+// leaves the parity features nothing to learn from.
+func TestDefaultShapeDraw(t *testing.T) {
+	a := perfmodel.DrawShapes(len(perfmodel.DefaultSystems))
+	if b := perfmodel.DrawShapes(len(perfmodel.DefaultSystems)); !reflect.DeepEqual(a, b) {
+		t.Fatal("two default draws differ")
+	}
+	for i, shapes := range a {
+		sys := perfmodel.DefaultSystems[i].Name
+		if len(shapes) != perfmodel.DefaultShapes {
+			t.Errorf("%s: %d shapes, want %d", sys, len(shapes), perfmodel.DefaultShapes)
+		}
+		seen := map[perfmodel.Shape]bool{}
+		classes := map[string]int{}
+		for _, s := range shapes {
+			if seen[s] {
+				t.Errorf("%s: shape %v drawn twice", sys, s)
+			}
+			seen[s] = true
+			for _, v := range []float64{s.Nodes, s.PPN} {
+				if v != math.Trunc(v) || v < 1 || v > perfmodel.MaxShapeAxis {
+					t.Errorf("%s: shape %v leaves the integers 1..%d", sys, s, perfmodel.MaxShapeAxis)
+				}
+			}
+			p := int(s.Nodes * s.PPN)
+			switch {
+			case p&(p-1) == 0:
+				classes["pow2"]++
+			case p%2 == 1:
+				classes["odd"]++
+			default:
+				classes["even"]++
+			}
+		}
+		for _, c := range []string{"odd", "even", "pow2"} {
+			if classes[c] == 0 {
+				t.Errorf("%s: no shape with %s P (%v)", sys, c, classes)
+			}
+		}
+		t.Logf("%s: P classes %v", sys, classes)
+	}
+	ds, err := perfmodel.Sweep(perfmodel.SweepConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, coll := range perfmodel.CollectiveNames() {
+		if n := len(ds.ByCollective()[coll]); n != 1980 {
+			t.Errorf("%s: %d examples, want 1980", coll, n)
+		}
+	}
+	if _, err := perfmodel.Sweep(perfmodel.SweepConfig{Nodes: []float64{2}}); err == nil {
+		t.Error("a sweep with Nodes but no PPN must be refused")
 	}
 }
 

@@ -401,9 +401,9 @@ func (s *Selector) doSelect(ctx context.Context, collective string, features map
 		return nil, unknownCollective(b, collective)
 	}
 	// Stack buffer for the feature vector: no allocation on the hit path.
-	// Feature subsets never exceed the canonical space (currently 14
-	// features), but fall back to the heap if that ever grows past 16.
-	var xbuf [16]float64
+	// No collective reads more than bundle.MaxFeatures features; the heap
+	// fallback is for an in-memory bundle that breaks that rule.
+	var xbuf [bundle.MaxFeatures]float64
 	var x []float64
 	if n := len(c.FeatureNames); n <= len(xbuf) {
 		x = xbuf[:n]

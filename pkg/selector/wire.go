@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"sync"
 
+	"github.com/pml-mpi/pmlmpi/pkg/bundle"
 	"github.com/pml-mpi/pmlmpi/pkg/jsonappend"
 	"github.com/pml-mpi/pmlmpi/pkg/obs"
 )
@@ -32,7 +33,8 @@ const (
 )
 
 // ParseSelect reads r's /v1/select body into buf and decodes it. An error
-// is the client's fault, and its text is the 400 reply's.
+// is the client's fault, and its text is the 400 reply's: a malformed body,
+// no collective, or a derived feature sent as input.
 func ParseSelect(buf *bytes.Buffer, w http.ResponseWriter, r *http.Request) (BatchRequest, error) {
 	if err := obs.ReadBody(buf, w, r, MaxSelectBody); err != nil {
 		return BatchRequest{}, badBody(err)
@@ -44,7 +46,7 @@ func ParseSelect(buf *bytes.Buffer, w http.ResponseWriter, r *http.Request) (Bat
 	if req.Collective == "" {
 		return req, errors.New(`missing "collective"`)
 	}
-	return req, nil
+	return req, bundle.CheckRequestFeatures(req.Features)
 }
 
 // ParseBatch reads r's /v1/select/batch body into buf and decodes it. An
@@ -57,7 +59,7 @@ func ParseBatch(buf *bytes.Buffer, w http.ResponseWriter, r *http.Request) ([]Ba
 	if err != nil {
 		return nil, badBody(err)
 	}
-	return reqs, checkBatch(len(reqs))
+	return reqs, checkBatch(reqs)
 }
 
 // ParseBatchRaw is ParseBatch for a forwarder: beside each item it returns
@@ -70,17 +72,24 @@ func ParseBatchRaw(buf *bytes.Buffer, w http.ResponseWriter, r *http.Request) ([
 	if err != nil {
 		return nil, nil, badBody(err)
 	}
-	return reqs, raw, checkBatch(len(reqs))
+	return reqs, raw, checkBatch(reqs)
 }
 
 func badBody(err error) error { return fmt.Errorf("bad request body: %w", err) }
 
-func checkBatch(items int) error {
+// checkBatch applies the batch limits, and refuses the whole batch when an
+// item sends a derived feature: that is a client bug, not an item failure.
+func checkBatch(reqs []BatchRequest) error {
 	switch {
-	case items == 0:
+	case len(reqs) == 0:
 		return errors.New(`empty batch: "requests" must have at least one item`)
-	case items > MaxBatchItems:
-		return fmt.Errorf("batch of %d items exceeds the limit of %d", items, MaxBatchItems)
+	case len(reqs) > MaxBatchItems:
+		return fmt.Errorf("batch of %d items exceeds the limit of %d", len(reqs), MaxBatchItems)
+	}
+	for i := range reqs {
+		if err := bundle.CheckRequestFeatures(reqs[i].Features); err != nil {
+			return fmt.Errorf("requests[%d]: %w", i, err)
+		}
 	}
 	return nil
 }

@@ -32,7 +32,8 @@ type Config struct {
 	// early, so trees are irregular like real learned trees.
 	Depth int
 	// Features is the size of each collective's feature subset, drawn from
-	// bundle.CanonicalFeatures (default 5, max len(CanonicalFeatures)).
+	// bundle.RequestFeatures (default 5, max len(RequestFeatures)), so a
+	// random bundle never reads a derived feature.
 	Features int
 	// Classes is the number of algorithm classes per forest (default 4).
 	Classes int
@@ -44,8 +45,9 @@ type Config struct {
 	// decisions reflect real regime boundaries instead of noise. Every
 	// collective must be supported by pkg/perfmodel. Features, Classes, and
 	// TrainedOn are ignored in this mode — the feature set is the full
-	// canonical space, class counts come from the perfmodel algorithm
-	// table, and provenance records the swept systems.
+	// canonical space, derived features included, class counts come from
+	// the perfmodel algorithm table, and provenance records the swept
+	// systems.
 	Labeled bool
 }
 
@@ -62,8 +64,8 @@ func (c Config) withDefaults() Config {
 	if c.Features <= 0 {
 		c.Features = 5
 	}
-	if c.Features > len(bundle.CanonicalFeatures) {
-		c.Features = len(bundle.CanonicalFeatures)
+	if c.Features > len(bundle.RequestFeatures) {
+		c.Features = len(bundle.RequestFeatures)
 	}
 	if c.Classes <= 0 {
 		c.Classes = 4
@@ -159,7 +161,7 @@ func MustNew(cfg Config) *bundle.Bundle {
 	return b
 }
 
-// Points returns n deterministic feature maps covering every canonical
+// Points returns n deterministic feature maps covering every request
 // feature, so each point is a valid input for every collective in any
 // synthetic bundle. Distinct indices yield distinct maps (values carry
 // far more than cache-quantum precision).
@@ -167,8 +169,8 @@ func Points(seed int64, n int) []map[string]float64 {
 	rng := rand.New(rand.NewSource(seed ^ 0x5f3759df))
 	pts := make([]map[string]float64, n)
 	for i := range pts {
-		m := make(map[string]float64, len(bundle.CanonicalFeatures))
-		for _, name := range bundle.CanonicalFeatures {
+		m := make(map[string]float64, len(bundle.RequestFeatures))
+		for _, name := range bundle.RequestFeatures {
 			m[name] = rng.Float64() * 128
 		}
 		pts[i] = m
@@ -177,9 +179,9 @@ func Points(seed int64, n int) []map[string]float64 {
 }
 
 func genCollective(rng *rand.Rand, cfg Config, op int) *bundle.Collective {
-	// Random feature subset of the canonical space, sorted ascending like
+	// Random feature subset of the request features, sorted ascending like
 	// the shipped bundle's subsets.
-	perm := rng.Perm(len(bundle.CanonicalFeatures))[:cfg.Features]
+	perm := rng.Perm(len(bundle.RequestFeatures))[:cfg.Features]
 	sort.Ints(perm)
 	names := make([]string, cfg.Features)
 	imp := make([]bundle.Importance, cfg.Features)

@@ -64,8 +64,10 @@ func TestFeaturesClampedToCanonicalSpace(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range b.Collectives {
-		if len(c.FeatureNames) != len(bundle.CanonicalFeatures) {
-			t.Errorf("feature count %d, want clamp to %d", len(c.FeatureNames), len(bundle.CanonicalFeatures))
+		// Random bundles draw from the request features: a derived one would
+		// make every consumer of synth.Points send num_nodes and ppn.
+		if len(c.FeatureNames) != len(bundle.RequestFeatures) {
+			t.Errorf("feature count %d, want clamp to the %d request features", len(c.FeatureNames), len(bundle.RequestFeatures))
 		}
 	}
 }
@@ -80,8 +82,8 @@ func TestPointsAreDeterministicDistinctAndComplete(t *testing.T) {
 	a := Points(42, 16)
 	b := Points(42, 16)
 	for i := range a {
-		if len(a[i]) != len(bundle.CanonicalFeatures) {
-			t.Fatalf("point %d covers %d features, want all %d", i, len(a[i]), len(bundle.CanonicalFeatures))
+		if len(a[i]) != len(bundle.RequestFeatures) {
+			t.Fatalf("point %d covers %d features, want all %d request features", i, len(a[i]), len(bundle.RequestFeatures))
 		}
 		for k, v := range a[i] {
 			if b[i][k] != v {

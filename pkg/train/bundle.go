@@ -27,8 +27,9 @@ type Report struct {
 	Importance  []bundle.Importance `json:"importance"`
 }
 
-// featureSubset returns the canonical features present in every example of
-// the slice, as (canonical indices, names) sorted by canonical index —
+// featureSubset returns the canonical features every example of the slice
+// yields — a request feature it carries, or a derived feature whose inputs
+// it carries — as (canonical indices, names) sorted by canonical index,
 // the exact layout bundle validation requires.
 func featureSubset(examples []dataset.Example) ([]int, []string, error) {
 	if len(examples) == 0 {
@@ -39,7 +40,7 @@ func featureSubset(examples []dataset.Example) ([]int, []string, error) {
 	for i, name := range bundle.CanonicalFeatures {
 		inAll := true
 		for e := range examples {
-			if _, ok := examples[e].Features[name]; !ok {
+			if _, missing := bundle.FeatureValue(examples[e].Features, i); missing != "" {
 				inAll = false
 				break
 			}
@@ -58,7 +59,7 @@ func featureSubset(examples []dataset.Example) ([]int, []string, error) {
 // TrainBundle fits one random forest per collective in the dataset and
 // assembles them into a serving-ready bundle that round-trips through
 // bundle.Parse. Each collective's feature subset is the canonical
-// features present in all of its examples; its class space is the
+// features all of its examples yield (featureSubset); its class space is the
 // dataset's algorithm table. Deterministic for a fixed cfg.Seed.
 func TrainBundle(ds *dataset.Dataset, cfg BundleConfig) (*bundle.Bundle, []Report, error) {
 	if err := cfg.Validate(); err != nil {
@@ -100,9 +101,9 @@ func TrainBundle(ds *dataset.Dataset, cfg BundleConfig) (*bundle.Bundle, []Repor
 		x := make([][]float64, len(examples))
 		y := make([]int, len(examples))
 		for i := range examples {
-			row := make([]float64, len(featNames))
-			for j, fn := range featNames {
-				row[j] = examples[i].Features[fn]
+			row := make([]float64, len(idxs))
+			for j, idx := range idxs {
+				row[j], _ = bundle.FeatureValue(examples[i].Features, idx)
 			}
 			x[i] = row
 			if examples[i].Label < 0 || examples[i].Label >= len(algos) {

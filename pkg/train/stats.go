@@ -16,7 +16,7 @@ import (
 const DefaultStatsBins = 10
 
 // ComputeFeatureStats derives the per-feature training distribution the
-// serving side scores live-traffic drift against. For each canonical
+// serving side scores live-traffic drift against. For each request
 // feature present anywhere in the dataset it picks quantile-spaced bin
 // edges (deduplicated, so grid-valued features get fewer, exact bins) and
 // counts the training values into them using the same bucketing rule the
@@ -33,7 +33,7 @@ func ComputeFeatureStats(ds *dataset.Dataset, bins int) (*bundle.FeatureStats, e
 		Source:   "train/sweep",
 		Features: make(map[string]bundle.FeatureDist),
 	}
-	for _, name := range bundle.CanonicalFeatures {
+	for _, name := range bundle.RequestFeatures {
 		var values []float64
 		for i := range ds.Examples {
 			if v, ok := ds.Examples[i].Features[name]; ok && !math.IsNaN(v) && !math.IsInf(v, 0) {
@@ -57,7 +57,7 @@ func ComputeFeatureStats(ds *dataset.Dataset, bins int) (*bundle.FeatureStats, e
 		stats.Features[name] = d
 	}
 	if len(stats.Features) == 0 {
-		return nil, fmt.Errorf("feature stats: no canonical feature present in any example")
+		return nil, fmt.Errorf("feature stats: no request feature present in any example")
 	}
 	return stats, nil
 }
