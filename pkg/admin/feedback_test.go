@@ -205,9 +205,6 @@ func TestDebugRetrainEndpointAndHealthzBlock(t *testing.T) {
 	if rep.State != retrain.StateIdle || rep.Cycles != 0 {
 		t.Errorf("report = state %q cycles %d, want idle with no cycles", rep.State, rep.Cycles)
 	}
-	if rep.Policy != retrain.PolicyAuto {
-		t.Errorf("policy = %q, want default %q", rep.Policy, retrain.PolicyAuto)
-	}
 	if rep.Feedback.Resident != 2 || rep.Feedback.Accepted != 2 {
 		t.Errorf("feedback snapshot = %+v, want 2 resident", rep.Feedback)
 	}

@@ -3,7 +3,8 @@
 // active one to the selector through an atomic pointer (lock-free read on
 // the Select hot path), and supports promotion, rollback, and duplicate
 // detection. Staged candidates can be shadow-evaluated against live
-// traffic (see Shadow) and adopted automatically from disk (see Watcher).
+// traffic (see Shadow); replica.FileWatcher loads a changed bundle file
+// and promotes it.
 //
 // Lifecycle: Load stages a validated generation; Promote atomically swaps
 // it to active and retires the previous one; Rollback re-activates the

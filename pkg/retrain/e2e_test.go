@@ -22,13 +22,41 @@ func shiftedGrid() (nodes, ppn, lms []float64) {
 	return []float64{32, 64, 128}, []float64{16, 32}, []float64{16, 18, 20, 22, 24}
 }
 
+// shiftedAccuracy is the share of the shifted grid on which sel picks the
+// oracle's algorithm.
+func shiftedAccuracy(t *testing.T, sel *selector.Selector) float64 {
+	t.Helper()
+	nodes, ppns, lms := shiftedGrid()
+	correct, total := 0, 0
+	for _, n := range nodes {
+		for _, p := range ppns {
+			for _, lm := range lms {
+				f := perfmodel.DefaultSystems[0].Features(n, p, lm)
+				d, err := sel.Select(context.Background(), "broadcast", f)
+				if err != nil {
+					t.Fatalf("select: %v", err)
+				}
+				want, err := perfmodel.Best("broadcast", f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d.Algorithm == sel.AlgorithmName("broadcast", want) {
+					correct++
+				}
+				total++
+			}
+		}
+	}
+	return float64(correct) / float64(total)
+}
+
 // TestClosedLoopDriftRetrainPromote is the end-to-end proof of the
 // self-tuning loop: a server stack (registry + shadow + health + selector)
-// serving a model trained on a narrow region receives shifted traffic and
-// matching oracle-labeled feedback; the drift monitors go ALERT, the
-// controller fires, trains on the blended feedback, judges the candidate
-// offline, auto-promotes the winner, and subsequent selections track the
-// oracle on the shifted region.
+// serving a model trained on a narrow region, and wrong on the shifted one,
+// receives shifted traffic and matching oracle-labeled feedback; the drift
+// monitors go ALERT, the controller fires, trains on the blended feedback,
+// judges the candidate on held-out feedback, promotes it, and subsequent
+// selections track the oracle on the shifted region.
 func TestClosedLoopDriftRetrainPromote(t *testing.T) {
 	if testing.Short() {
 		t.Skip("closed-loop e2e trains models")
@@ -36,7 +64,16 @@ func TestClosedLoopDriftRetrainPromote(t *testing.T) {
 	o := obs.NewForTest()
 	shadow := registry.NewShadow(o, registry.ShadowConfig{Fraction: 1})
 	reg := registry.New(o, registry.Config{Keep: 4, Shadow: shadow})
-	g, err := reg.LoadData(trainNarrowIncumbent(t, t.TempDir()), "incumbent")
+	// Large messages on a two-rank job, where pipeline wins: the incumbent
+	// picks pipeline across the shifted region, where binomial_tree and
+	// scatter_allgather win.
+	g, err := reg.LoadData(trainIncumbent(t, perfmodel.SweepConfig{
+		Collectives:  []string{"broadcast"},
+		Nodes:        []float64{2},
+		PPN:          []float64{2},
+		Log2MsgSizes: []float64{20, 22},
+		Systems:      perfmodel.DefaultSystems[:1],
+	}, train.Config{Trees: 4, MaxDepth: 4, Seed: 3}), "incumbent")
 	if err != nil {
 		t.Fatalf("load incumbent: %v", err)
 	}
@@ -54,6 +91,9 @@ func TestClosedLoopDriftRetrainPromote(t *testing.T) {
 	shadow.SetHealthSink(health.RecordShadow)
 	shadow.Start()
 	defer shadow.Stop()
+	if acc := shiftedAccuracy(t, sel); acc >= 0.7 {
+		t.Fatalf("incumbent oracle accuracy %.2f on the shifted grid; the test needs one below 0.70", acc)
+	}
 
 	store, err := feedback.NewStore(o.Registry, feedback.Config{Dir: t.TempDir()})
 	if err != nil {
@@ -93,9 +133,6 @@ func TestClosedLoopDriftRetrainPromote(t *testing.T) {
 		Sweep:        testSweep(),
 		Trainer:      train.Config{Trees: 8, MaxDepth: 8},
 		Seed:         7,
-		HoldoutFloor: 0.5,
-		MarginSlack:  0.5,
-		OutDir:       t.TempDir(),
 	}, Deps{Store: store, Registry: reg, Shadow: shadow, Health: health})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -156,28 +193,7 @@ func TestClosedLoopDriftRetrainPromote(t *testing.T) {
 	// region the feedback taught it.
 	stopTraffic.Store(true)
 	<-trafficDone
-	correct, total := 0, 0
-	ctx := context.Background()
-	for _, n := range nodes {
-		for _, p := range ppns {
-			for _, lm := range lms {
-				f := perfmodel.DefaultSystems[0].Features(n, p, lm)
-				d, err := sel.Select(ctx, "broadcast", f)
-				if err != nil {
-					t.Fatalf("post-promotion select: %v", err)
-				}
-				want, err := perfmodel.Best("broadcast", f)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if d.Algorithm == sel.AlgorithmName("broadcast", want) {
-					correct++
-				}
-				total++
-			}
-		}
-	}
-	if acc := float64(correct) / float64(total); acc < 0.7 {
+	if acc := shiftedAccuracy(t, sel); acc < 0.7 {
 		t.Fatalf("post-promotion oracle accuracy %.2f on the shifted grid, want >= 0.70", acc)
 	}
 

@@ -3,16 +3,20 @@
 // a timer tick with fresh records, or a sustained drift ALERT — it trains a
 // candidate bundle on a blend of operator feedback and the analytical
 // sweep, stages it in the registry, and judges it offline against the
-// incumbent on a shared held-out split and on margin quality. Only a
-// candidate that wins both clauses is promoted; a loser is retired without
-// ever serving a request. Live shadow evidence is judged in one place, the
-// fleet soak (controlplane.ShadowPolicy), not here. Every cycle
-// leaves a verdict on /debug/retrain and in the pmlmpi_retrain_* metrics,
-// so the self-tuning loop is as auditable as a human-driven promote.
+// incumbent on held-out feedback. One record in five is held out by its
+// identity, so it is never trained on in any cycle; a candidate is promoted
+// iff its accuracy on those records is strictly above the incumbent's, and
+// retired otherwise without ever serving a request. Live shadow evidence is
+// judged in one place, the fleet soak (controlplane.ShadowPolicy), not
+// here. Every cycle leaves a verdict on /debug/retrain and in the
+// pmlmpi_retrain_* metrics, so the self-tuning loop is as auditable as a
+// human-driven promote.
 package retrain
 
 import (
 	"fmt"
+	"hash/fnv"
+	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -32,18 +36,13 @@ import (
 // Cycle outcomes, as recorded in verdicts and the
 // pmlmpi_retrain_cycles_total{outcome} counter.
 const (
-	OutcomePromoted         = "promoted"
-	OutcomeRetired          = "retired"
-	OutcomeStaged           = "staged" // won, but policy is manual
-	OutcomeSkippedRecords   = "skipped_min_records"
-	OutcomeSkippedDuplicate = "skipped_duplicate"
-	OutcomeError            = "error"
-)
-
-// Promote policies.
-const (
-	PolicyAuto   = "auto"   // winning candidates are promoted immediately
-	PolicyManual = "manual" // winning candidates stay staged for an operator
+	OutcomePromoted          = "promoted"
+	OutcomeRetired           = "retired"
+	OutcomeSkippedRecords    = "skipped_min_records"
+	OutcomeSkippedNoFeedback = "skipped_no_new_feedback"
+	OutcomeSkippedNoHoldout  = "skipped_no_holdout"
+	OutcomeSkippedDuplicate  = "skipped_duplicate"
+	OutcomeError             = "error"
 )
 
 // Controller state machine values (pmlmpi_retrain_state gauge).
@@ -55,19 +54,30 @@ const (
 
 // Defaults for the zero Config.
 const (
-	DefaultMinRecords   = 64
-	DefaultDriftPoll    = 2 * time.Second
-	DefaultSweepFrac    = 1.0
-	DefaultHoldoutFrac  = 0.2
-	DefaultHoldoutFloor = 0.75
-	DefaultHoldoutSlack = 0.02
-	DefaultMarginSlack  = 0.05
-	DefaultHistory      = 32
+	DefaultMinRecords = 64
+	DefaultDriftPoll  = 2 * time.Second
 )
+
+const (
+	// history bounds the verdict ring served on /debug/retrain.
+	history = 32
+	// holdoutMod holds out the feedback records whose identity hashes to
+	// 0 modulo it: one in five.
+	holdoutMod = 5
+)
+
+// heldOut reports whether the feedback record at this feature point is
+// held out for judging. It depends on the record's identity alone, so a
+// held-out record is never trained on, in any cycle.
+func heldOut(collective string, features map[string]float64) bool {
+	h := fnv.New64a()
+	h.Write([]byte(dataset.Key(collective, features)))
+	return h.Sum64()%holdoutMod == 0
+}
 
 // Config tunes a Controller. The zero value disables both automatic
 // triggers (no interval, no drift windows) but still supports manual
-// RunCycle calls with the documented judging defaults.
+// RunCycle calls.
 type Config struct {
 	// Interval between timer-driven cycles. 0 disables the timer.
 	Interval time.Duration
@@ -80,81 +90,25 @@ type Config struct {
 	DriftWindows int
 	// DriftPoll is how often the drift state is sampled (default 2s).
 	DriftPoll time.Duration
-	// PromotePolicy is PolicyAuto (default) or PolicyManual.
-	PromotePolicy string
-	// SweepFrac is the fraction of the analytical sweep blended under
-	// the feedback records, in [0,1] (default 1: the full sweep). The
-	// sweep anchors regions feedback has not covered; feedback wins on
-	// identical feature points.
-	SweepFrac float64
-	// Sweep shapes the analytical base dataset; the zero value is the
-	// default full grid.
+	// Sweep shapes the analytical base dataset blended under the
+	// feedback; the zero value is the default full sweep.
 	Sweep perfmodel.SweepConfig
 	// Trainer tunes the candidate forest; zero value takes the train
-	// package defaults.
+	// package defaults. Its Seed is replaced by Seed.
 	Trainer train.Config
-	// Seed drives the holdout split, sweep subsampling, and (combined
-	// with the cycle number) the trainer, keeping cycles deterministic.
+	// Seed drives the trainer, keeping cycles deterministic.
 	Seed int64
-	// HoldoutFrac is the held-back fraction of the blended dataset used
-	// for judging (default 0.2).
-	HoldoutFrac float64
-	// HoldoutFloor is the minimum holdout accuracy a candidate must
-	// reach regardless of the incumbent (default 0.75).
-	HoldoutFloor float64
-	// HoldoutSlack is how far below the incumbent's holdout accuracy a
-	// candidate may fall and still pass (default 0.02).
-	HoldoutSlack float64
-	// MarginSlack is how much higher than the incumbent's low-margin
-	// rate the candidate's may be and still pass (default 0.05).
-	MarginSlack float64
-	// MarginWarn is the low-margin threshold for offline margin scoring;
-	// 0 takes the observatory's threshold, or 0.15 without one.
-	MarginWarn float64
-	// OutDir receives candidate bundle files (default the feedback
-	// store's directory).
-	OutDir string
-	// History bounds the verdict ring served on /debug/retrain
-	// (default 32).
-	History int
 }
 
-func (c Config) withDefaults(store *feedback.Store) Config {
+func (c Config) withDefaults() Config {
 	if c.MinRecords <= 0 {
 		c.MinRecords = DefaultMinRecords
 	}
 	if c.DriftPoll <= 0 {
 		c.DriftPoll = DefaultDriftPoll
 	}
-	if c.PromotePolicy == "" {
-		c.PromotePolicy = PolicyAuto
-	}
-	if c.SweepFrac <= 0 {
-		c.SweepFrac = DefaultSweepFrac
-	}
-	if c.HoldoutFrac <= 0 {
-		c.HoldoutFrac = DefaultHoldoutFrac
-	}
-	if c.HoldoutFloor <= 0 {
-		c.HoldoutFloor = DefaultHoldoutFloor
-	}
-	if c.HoldoutSlack <= 0 {
-		c.HoldoutSlack = DefaultHoldoutSlack
-	}
-	if c.MarginSlack <= 0 {
-		c.MarginSlack = DefaultMarginSlack
-	}
-	if c.OutDir == "" && store != nil {
-		c.OutDir = store.Dir()
-	}
-	if c.History <= 0 {
-		c.History = DefaultHistory
-	}
 	return c
 }
-
-// ValidPolicy reports whether p is a recognized promote policy.
-func ValidPolicy(p string) bool { return p == PolicyAuto || p == PolicyManual }
 
 // Deps are the live subsystems the controller drives. Store and Registry
 // are required; Shadow and Health are optional (without Health the drift
@@ -177,6 +131,10 @@ type Verdict struct {
 	// Detail explains retirements, skips, and errors.
 	Detail string `json:"detail,omitempty"`
 
+	// FeedbackRecords is the resident feedback; TrainExamples are the
+	// training rows, SweepExamples of them from the analytical sweep and
+	// the rest from feedback; HoldoutExamples are the held-out feedback
+	// records the candidate is judged on.
 	FeedbackRecords int `json:"feedback_records"`
 	SweepExamples   int `json:"sweep_examples"`
 	TrainExamples   int `json:"train_examples"`
@@ -185,16 +143,14 @@ type Verdict struct {
 	CandidateGeneration uint64 `json:"candidate_generation,omitempty"`
 	CandidateHash       string `json:"candidate_hash,omitempty"`
 
-	CandidateAccuracy  float64 `json:"candidate_accuracy"`
-	IncumbentAccuracy  float64 `json:"incumbent_accuracy"`
-	CandidateLowMargin float64 `json:"candidate_low_margin_rate"`
-	IncumbentLowMargin float64 `json:"incumbent_low_margin_rate"`
+	// Accuracies on the held-out feedback.
+	CandidateAccuracy float64 `json:"candidate_accuracy"`
+	IncumbentAccuracy float64 `json:"incumbent_accuracy"`
 }
 
 // Report is the /debug/retrain payload.
 type Report struct {
 	State            string            `json:"state"`
-	Policy           string            `json:"policy"`
 	IntervalSeconds  float64           `json:"interval_seconds"`
 	MinRecords       int               `json:"min_records"`
 	DriftWindows     int               `json:"drift_windows"`
@@ -210,7 +166,6 @@ type Report struct {
 // Summary is the retrain block embedded in /healthz.
 type Summary struct {
 	State            string     `json:"state"`
-	Policy           string     `json:"policy"`
 	Cycles           uint64     `json:"cycles"`
 	Promoted         uint64     `json:"promoted"`
 	DriftAlertStreak uint64     `json:"drift_alert_streak"`
@@ -231,6 +186,9 @@ type Controller struct {
 
 	cycleMu sync.Mutex // serializes RunCycle
 	cycles  atomic.Uint64
+	// trainedAt is the store's accepted count when a cycle last trained,
+	// plus one (0: no cycle has trained). Guarded by cycleMu.
+	trainedAt uint64
 
 	driftStreak  atomic.Uint64
 	driftWindows uint64 // last observed completed-window count (run loop only)
@@ -244,6 +202,10 @@ type Controller struct {
 	wg   sync.WaitGroup
 	once sync.Once
 
+	// train is train.TrainBundle; tests swap it to see what each cycle
+	// trains on.
+	train func(*dataset.Dataset, train.BundleConfig) (*bundle.Bundle, []train.Report, error)
+
 	cCycles *obs.Counter // {outcome}
 	gState  *obs.Gauge
 	gStreak *obs.Gauge
@@ -255,19 +217,16 @@ func New(o *obs.Obs, cfg Config, deps Deps) (*Controller, error) {
 	if deps.Store == nil || deps.Registry == nil {
 		return nil, fmt.Errorf("retrain: Deps.Store and Deps.Registry are required")
 	}
-	cfg = cfg.withDefaults(deps.Store)
-	if !ValidPolicy(cfg.PromotePolicy) {
-		return nil, fmt.Errorf("retrain: unknown promote policy %q (want %s or %s)",
-			cfg.PromotePolicy, PolicyAuto, PolicyManual)
-	}
+	cfg = cfg.withDefaults()
 	if err := cfg.Trainer.Validate(); err != nil {
 		return nil, fmt.Errorf("retrain: Trainer: %w", err)
 	}
 	c := &Controller{
-		o:    o,
-		cfg:  cfg,
-		deps: deps,
-		done: make(chan struct{}),
+		o:     o,
+		cfg:   cfg,
+		deps:  deps,
+		train: train.TrainBundle,
+		done:  make(chan struct{}),
 		cCycles: o.Registry.Counter("pmlmpi_retrain_cycles_total",
 			"Retrain cycles by outcome.", "outcome"),
 		gState: o.Registry.Gauge("pmlmpi_retrain_state",
@@ -393,8 +352,8 @@ func (c *Controller) RunCycle(trigger string) Verdict {
 	c.cCycles.Inc(v.Outcome)
 	c.mu.Lock()
 	c.verdicts = append(c.verdicts, v)
-	if len(c.verdicts) > c.cfg.History {
-		c.verdicts = c.verdicts[len(c.verdicts)-c.cfg.History:]
+	if len(c.verdicts) > history {
+		c.verdicts = c.verdicts[len(c.verdicts)-history:]
 	}
 	switch v.Outcome {
 	case OutcomePromoted:
@@ -416,6 +375,11 @@ func (c *Controller) runCycle(v *Verdict) {
 		v.Detail = fmt.Sprintf("%d resident feedback records, need %d", snap.Resident, c.cfg.MinRecords)
 		return
 	}
+	if c.trainedAt == snap.Accepted+1 {
+		v.Outcome = OutcomeSkippedNoFeedback
+		v.Detail = "no feedback accepted since the last cycle that trained"
+		return
+	}
 
 	fb, err := c.deps.Store.Dataset()
 	if err != nil {
@@ -423,33 +387,31 @@ func (c *Controller) runCycle(v *Verdict) {
 		v.Detail = fmt.Sprintf("feedback dataset: %v", err)
 		return
 	}
-
-	blended, sweepN, err := c.blend(fb)
+	trainDS, holdout, err := c.blend(fb)
 	if err != nil {
 		v.Outcome = OutcomeError
 		v.Detail = err.Error()
 		return
 	}
-	v.SweepExamples = sweepN
-
-	trainDS, holdout := blended.Split(c.cfg.HoldoutFrac, c.cfg.Seed)
+	// The store keeps one record per feature point, so every record not
+	// held out is one training row.
 	v.TrainExamples = trainDS.Len()
+	v.SweepExamples = trainDS.Len() - (fb.Len() - holdout.Len())
 	v.HoldoutExamples = holdout.Len()
-	if trainDS.Len() == 0 || holdout.Len() == 0 {
-		v.Outcome = OutcomeError
-		v.Detail = fmt.Sprintf("degenerate split: %d train / %d holdout", trainDS.Len(), holdout.Len())
+	if holdout.Len() == 0 {
+		v.Outcome = OutcomeSkippedNoHoldout
+		v.Detail = fmt.Sprintf("none of %d feedback records is held out", fb.Len())
 		return
 	}
+	c.trainedAt = snap.Accepted + 1
 
 	tc := c.cfg.Trainer
-	// Vary the trainer seed per cycle so retraining on the same data after
-	// a retirement can still explore a different ensemble.
-	tc.Seed = c.cfg.Seed + int64(v.Cycle)
-	b, _, err := train.TrainBundle(trainDS, train.BundleConfig{
+	tc.Seed = c.cfg.Seed
+	b, _, err := c.train(trainDS, train.BundleConfig{
 		Config: tc,
 		TrainedOn: []string{
-			fmt.Sprintf("feedback:%d", fb.Len()),
-			fmt.Sprintf("sweep:%d", sweepN),
+			fmt.Sprintf("feedback:%d", fb.Len()-holdout.Len()),
+			fmt.Sprintf("sweep:%d", v.SweepExamples),
 		},
 	})
 	if err != nil {
@@ -457,14 +419,15 @@ func (c *Controller) runCycle(v *Verdict) {
 		v.Detail = fmt.Sprintf("train: %v", err)
 		return
 	}
-
-	path := filepath.Join(c.cfg.OutDir, fmt.Sprintf("retrain-%06d.json", v.Cycle))
-	data, err := b.WriteFile(path)
+	data, err := b.Encode()
 	if err != nil {
 		v.Outcome = OutcomeError
-		v.Detail = fmt.Sprintf("write bundle: %v", err)
+		v.Detail = fmt.Sprintf("encode bundle: %v", err)
 		return
 	}
+
+	// The file is written only if the candidate is promoted.
+	path := filepath.Join(c.deps.Store.Dir(), fmt.Sprintf("retrain-%06d.json", v.Cycle))
 	_, activeGen := c.deps.Registry.Active()
 	g, err := c.deps.Registry.LoadData(data, path)
 	if err != nil {
@@ -484,8 +447,7 @@ func (c *Controller) runCycle(v *Verdict) {
 	}
 
 	c.setState(2)
-	win, detail := c.judge(v, g, holdout)
-	if !win {
+	if detail := c.judge(v, g, holdout); detail != "" {
 		if c.deps.Shadow != nil && c.deps.Shadow.Candidate() == g {
 			c.deps.Shadow.ClearCandidate()
 		}
@@ -493,12 +455,13 @@ func (c *Controller) runCycle(v *Verdict) {
 		v.Detail = detail
 		return
 	}
-	if c.cfg.PromotePolicy == PolicyManual {
-		v.Outcome = OutcomeStaged
-		v.Detail = "candidate won judging; promote policy is manual"
+	if _, err := b.WriteFile(path); err != nil {
+		v.Outcome = OutcomeError
+		v.Detail = err.Error()
 		return
 	}
 	if _, err := c.deps.Registry.Promote(g.ID()); err != nil {
+		os.Remove(path) // the promote error is what the verdict reports
 		v.Outcome = OutcomeError
 		v.Detail = fmt.Sprintf("promote: %v", err)
 		return
@@ -506,114 +469,88 @@ func (c *Controller) runCycle(v *Verdict) {
 	v.Outcome = OutcomePromoted
 }
 
-// blend builds the training pool: feedback first, then a (possibly
-// subsampled) analytical sweep, deduped so feedback wins identical points.
-func (c *Controller) blend(fb *dataset.Dataset) (*dataset.Dataset, int, error) {
+// blend splits the feedback into held-out records and training records,
+// and lays the training records over the analytical sweep: a feedback
+// record replaces the sweep's label on an identical feature point, and a
+// held-out record removes it, so no held-out point is ever trained on.
+func (c *Controller) blend(fb *dataset.Dataset) (trainDS, holdout *dataset.Dataset, err error) {
 	sweep, err := perfmodel.Sweep(c.cfg.Sweep)
 	if err != nil {
-		return nil, 0, fmt.Errorf("sweep: %v", err)
+		return nil, nil, fmt.Errorf("sweep: %v", err)
 	}
-	if c.cfg.SweepFrac < 1 {
-		sweep, _ = sweep.Split(1-c.cfg.SweepFrac, c.cfg.Seed)
+	all := dataset.New(sweep.Algorithms)
+	if err := all.Merge(fb); err != nil {
+		return nil, nil, fmt.Errorf("merge feedback: %v", err)
 	}
-	blended := dataset.New(sweep.Algorithms)
-	if err := blended.Merge(fb); err != nil {
-		return nil, 0, fmt.Errorf("merge feedback: %v", err)
+	if err := all.Merge(sweep); err != nil {
+		return nil, nil, fmt.Errorf("merge sweep: %v", err)
 	}
-	if err := blended.Merge(sweep); err != nil {
-		return nil, 0, fmt.Errorf("merge sweep: %v", err)
-	}
-	blended.Dedup()
-	return blended, sweep.Len(), nil
-}
-
-// judge runs the offline promotion clauses against the incumbent. It returns
-// win=false with a human-readable reason on the first failing clause.
-func (c *Controller) judge(v *Verdict, g *registry.Generation, holdout *dataset.Dataset) (bool, string) {
-	marginWarn := c.cfg.MarginWarn
-	if marginWarn <= 0 {
-		marginWarn = modelhealth.DefaultMarginWarn
-		if c.deps.Health != nil {
-			marginWarn = c.deps.Health.MarginWarn()
+	all.Dedup()
+	// After Dedup the first occurrence of each point survives, and the
+	// feedback came first: a point is held out iff its feedback record is.
+	held := make(map[string]bool, fb.Len())
+	for i := range fb.Examples {
+		if ex := &fb.Examples[i]; heldOut(ex.Collective, ex.Features) {
+			held[dataset.Key(ex.Collective, ex.Features)] = true
 		}
 	}
+	trainDS, holdout = dataset.New(sweep.Algorithms), dataset.New(sweep.Algorithms)
+	for _, ex := range all.Examples {
+		if held[dataset.Key(ex.Collective, ex.Features)] {
+			holdout.Examples = append(holdout.Examples, ex)
+		} else {
+			trainDS.Examples = append(trainDS.Examples, ex)
+		}
+	}
+	return trainDS, holdout, nil
+}
 
-	candAcc, candLow, err := scoreBundle(g.Bundle(), holdout, marginWarn)
+// judge scores the candidate and the incumbent on the held-out feedback.
+// It returns "" if the candidate is strictly more accurate, else why not.
+func (c *Controller) judge(v *Verdict, g *registry.Generation, holdout *dataset.Dataset) string {
+	acc, err := accuracy(g.Bundle(), holdout)
 	if err != nil {
-		return false, fmt.Sprintf("candidate holdout scoring failed: %v", err)
+		return fmt.Sprintf("candidate holdout scoring failed: %v", err)
 	}
-	v.CandidateAccuracy = candAcc
-	v.CandidateLowMargin = candLow
-
-	incumbent, _ := c.deps.Registry.Active()
-	if incumbent != nil {
-		incAcc, incLow, err := scoreBundle(incumbent, holdout, marginWarn)
-		if err != nil {
-			// An incumbent that cannot score the holdout (e.g. missing
-			// collectives) concedes the comparative clauses.
-			incAcc, incLow = 0, 1
-		}
-		v.IncumbentAccuracy = incAcc
-		v.IncumbentLowMargin = incLow
+	v.CandidateAccuracy = acc
+	if incumbent, _ := c.deps.Registry.Active(); incumbent != nil {
+		// An incumbent that cannot score the holdout scores 0.
+		v.IncumbentAccuracy, _ = accuracy(incumbent, holdout)
 	}
-
-	// Clause 1: absolute and relative holdout accuracy.
-	if candAcc < c.cfg.HoldoutFloor {
-		return false, fmt.Sprintf("holdout accuracy %.4f below floor %.4f", candAcc, c.cfg.HoldoutFloor)
+	if v.CandidateAccuracy <= v.IncumbentAccuracy {
+		return fmt.Sprintf("held-out feedback accuracy %.4f does not beat the incumbent's %.4f",
+			v.CandidateAccuracy, v.IncumbentAccuracy)
 	}
-	if incumbent != nil && candAcc < v.IncumbentAccuracy-c.cfg.HoldoutSlack {
-		return false, fmt.Sprintf("holdout accuracy %.4f trails incumbent %.4f beyond slack %.4f",
-			candAcc, v.IncumbentAccuracy, c.cfg.HoldoutSlack)
-	}
-	// Clause 2: offline decision confidence must not degrade. Only an
-	// incumbent that itself clears the accuracy floor may veto here — a
-	// confidently wrong model has a perfect margin profile and would
-	// otherwise block every better-calibrated challenger.
-	if incumbent != nil && v.IncumbentAccuracy >= c.cfg.HoldoutFloor &&
-		candLow > v.IncumbentLowMargin+c.cfg.MarginSlack {
-		return false, fmt.Sprintf("low-margin rate %.4f exceeds incumbent %.4f plus slack %.4f",
-			candLow, v.IncumbentLowMargin, c.cfg.MarginSlack)
-	}
-	return true, ""
+	return ""
 }
 
-// scoreBundle evaluates b on ds in one pass: overall accuracy (collectives
-// the bundle cannot serve count as wrong) and the fraction of decisions
-// whose soft-vote margin falls below marginWarn (unservable examples count
-// as zero-margin).
-func scoreBundle(b *bundle.Bundle, ds *dataset.Dataset, marginWarn float64) (acc, lowMarginRate float64, err error) {
-	if ds.Len() == 0 {
-		return 0, 0, fmt.Errorf("empty holdout")
-	}
-	var correct, low int
+// accuracy is the share of ds that b labels correctly; collectives the
+// bundle cannot serve count as wrong.
+func accuracy(b *bundle.Bundle, ds *dataset.Dataset) (float64, error) {
+	var correct int
 	var pred forest.Prediction
 	for i := range ds.Examples {
 		ex := &ds.Examples[i]
 		coll, ok := b.Collective(ex.Collective)
 		if !ok {
-			low++
 			continue
 		}
 		x, err := coll.Vector(ex.Features)
 		if err != nil {
-			return 0, 0, fmt.Errorf("%s example %d: %w", ex.Collective, i, err)
+			return 0, fmt.Errorf("%s example %d: %w", ex.Collective, i, err)
 		}
 		cf := coll.Compiled()
 		if cf == nil {
-			return 0, 0, fmt.Errorf("%s example %d: forest did not compile", ex.Collective, i)
+			return 0, fmt.Errorf("%s example %d: forest did not compile", ex.Collective, i)
 		}
 		if err := cf.PredictInto(x, &pred); err != nil {
-			return 0, 0, fmt.Errorf("%s example %d: %w", ex.Collective, i, err)
+			return 0, fmt.Errorf("%s example %d: %w", ex.Collective, i, err)
 		}
 		if pred.Class == ex.Label {
 			correct++
 		}
-		if forest.Margin(pred.Probs) < marginWarn {
-			low++
-		}
 	}
-	n := float64(ds.Len())
-	return float64(correct) / n, float64(low) / n, nil
+	return float64(correct) / float64(ds.Len()), nil
 }
 
 // Report builds the /debug/retrain payload.
@@ -627,7 +564,6 @@ func (c *Controller) Report() Report {
 	c.mu.Unlock()
 	return Report{
 		State:            c.State(),
-		Policy:           c.cfg.PromotePolicy,
 		IntervalSeconds:  c.cfg.Interval.Seconds(),
 		MinRecords:       c.cfg.MinRecords,
 		DriftWindows:     c.cfg.DriftWindows,
@@ -644,7 +580,6 @@ func (c *Controller) Report() Report {
 func (c *Controller) Summarize() Summary {
 	s := Summary{
 		State:            c.State(),
-		Policy:           c.cfg.PromotePolicy,
 		Cycles:           c.cycles.Load(),
 		DriftAlertStreak: c.driftStreak.Load(),
 		FeedbackResident: c.deps.Store.Resident(),

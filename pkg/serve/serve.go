@@ -67,7 +67,6 @@ type Config struct {
 	RetrainInterval     time.Duration
 	RetrainMinRecords   int
 	RetrainDriftWindows int
-	PromotePolicy       string
 
 	ControlPlane, ReplicaID, Advertise string
 	ManifestPoll, StageSoak            time.Duration
@@ -105,7 +104,6 @@ func (c *Config) Flags(fs *flag.FlagSet) {
 	fs.DurationVar(&c.RetrainInterval, "retrain-interval", 0, "period of timer-driven retrain cycles (0 disables the timer)")
 	fs.IntVar(&c.RetrainMinRecords, "retrain-min-records", retrain.DefaultMinRecords, "fewest resident feedback records worth retraining on")
 	fs.IntVar(&c.RetrainDriftWindows, "retrain-drift-windows", 0, "completed drift windows at ALERT that trigger a retrain cycle (0 disables the drift trigger)")
-	fs.StringVar(&c.PromotePolicy, "promote-policy", retrain.PolicyAuto, "what happens to a winning candidate: auto (promote) or manual (stage only)")
 
 	fs.StringVar(&c.ControlPlane, "controlplane", "", "control-plane base URL; set to run as a fleet replica that pulls bundles by manifest hash (empty = standalone server)")
 	fs.StringVar(&c.ReplicaID, "replica-id", "", "unique replica id reported to the control plane (default: hostname)")
@@ -138,8 +136,6 @@ func (c Config) Validate() error {
 	check(c.ShadowFraction >= 0 && c.ShadowFraction <= 1, "ShadowFraction", "shadow-fraction", c.ShadowFraction, "a fraction in [0,1]")
 	check(c.TraceSampleRate >= 0 && c.TraceSampleRate <= 1, "TraceSampleRate", "trace-sample-rate", c.TraceSampleRate, "a fraction in [0,1]")
 	check(c.CacheEntries >= 0, "CacheEntries", "cache-entries", c.CacheEntries, "a count >= 0 (0 disables the cache)")
-	check(retrain.ValidPolicy(c.PromotePolicy), "PromotePolicy", "promote-policy", fmt.Sprintf("%q", c.PromotePolicy),
-		retrain.PolicyAuto+" or "+retrain.PolicyManual)
 	return errors.Join(errs...)
 }
 
@@ -278,10 +274,9 @@ func New(cfg Config, o *obs.Obs) (*Stack, error) {
 			return nil, fmt.Errorf("open feedback store: %w", err)
 		}
 		s.ctrl, err = retrain.New(o, retrain.Config{
-			Interval:      cfg.RetrainInterval,
-			MinRecords:    cfg.RetrainMinRecords,
-			DriftWindows:  cfg.RetrainDriftWindows,
-			PromotePolicy: cfg.PromotePolicy,
+			Interval:     cfg.RetrainInterval,
+			MinRecords:   cfg.RetrainMinRecords,
+			DriftWindows: cfg.RetrainDriftWindows,
 		}, retrain.Deps{Store: s.store, Registry: s.Registry, Shadow: s.shadow, Health: s.health})
 		if err != nil {
 			s.Close()
@@ -293,8 +288,7 @@ func New(cfg Config, o *obs.Obs) (*Stack, error) {
 			"resident", s.store.Resident(),
 			"retrain_interval", cfg.RetrainInterval.String(),
 			"min_records", cfg.RetrainMinRecords,
-			"drift_windows", cfg.RetrainDriftWindows,
-			"promote_policy", cfg.PromotePolicy)
+			"drift_windows", cfg.RetrainDriftWindows)
 	}
 
 	rc := obs.NewRuntimeCollector(o.Registry)

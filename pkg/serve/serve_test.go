@@ -18,15 +18,15 @@ import (
 var trainedFixture = filepath.Join("..", "bundle", "testdata", "trained_small.json")
 
 // TestConfigFieldsAreFlags: every Config field is exactly one flag of the
-// binary, and the binary has 29 of them.
+// binary, and the binary has 28 of them.
 func TestConfigFieldsAreFlags(t *testing.T) {
 	var c Config
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	c.Flags(fs)
 	n := 0
 	fs.VisitAll(func(*flag.Flag) { n++ })
-	if fields := reflect.TypeOf(c).NumField(); n != fields || n != 29 {
-		t.Fatalf("%d flags for %d Config fields, want 29 of each", n, fields)
+	if fields := reflect.TypeOf(c).NumField(); n != fields || n != 28 {
+		t.Fatalf("%d flags for %d Config fields, want 28 of each", n, fields)
 	}
 	if err := Defaults().Validate(); err != nil {
 		t.Fatalf("defaults do not validate: %v", err)
@@ -43,12 +43,10 @@ func TestValidate(t *testing.T) {
 		{"shadow-fraction negative", func(c *Config) { c.ShadowFraction = -0.1 }, []string{"ShadowFraction"}},
 		{"trace-sample-rate NaN", func(c *Config) { c.TraceSampleRate = math.NaN() }, []string{"TraceSampleRate"}},
 		{"cache-entries negative", func(c *Config) { c.CacheEntries = -1 }, []string{"CacheEntries"}},
-		// Rejected with the feedback store off too.
-		{"unknown promote-policy", func(c *Config) { c.PromotePolicy = "sometimes" }, []string{"PromotePolicy"}},
 		{"all bad", func(c *Config) {
 			c.SLOAvailability, c.ShadowFraction = 1, 2
-			c.TraceSampleRate, c.CacheEntries, c.PromotePolicy = 1.5, -5, ""
-		}, []string{"SLOAvailability", "ShadowFraction", "TraceSampleRate", "CacheEntries", "PromotePolicy"}},
+			c.TraceSampleRate, c.CacheEntries = 1.5, -5
+		}, []string{"SLOAvailability", "ShadowFraction", "TraceSampleRate", "CacheEntries"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
